@@ -4,10 +4,17 @@ Matrices are plain 2-D float64 ``numpy`` arrays. Two independent routes
 to the Moore-Penrose generalized inverse are provided:
 
 * :func:`pinv_svd` — singular value decomposition with a small-singular-
-  value cutoff; valid for any rank.
-* :func:`pinv_normal` — the orthogonal-projection form ``(AᵀA)⁻¹Aᵀ``
-  via a Cholesky factorization of the Gram matrix; requires full column
-  rank and fails loudly (never regularizes) when that is violated.
+  value cutoff; valid for any rank. The same SVD also yields the
+  numerical rank, so a caller that needs both pays for one
+  decomposition.
+* :func:`pinv_normal` — the orthogonal-projection form ``(AᵀA)⁻¹Aᵀ``:
+  LAPACK factors the Gram matrix as ``LLᵀ``, ``L⁻¹`` is solved for
+  against the identity (one right-hand side per column of ``A``, i.e.
+  per hidden node, not per sample), and ``(L⁻ᵀL⁻¹)Aᵀ`` is one matrix
+  product. It requires full column rank and fails loudly
+  (never regularizes) when that is violated; a scalar Cholesky scan
+  reruns only after LAPACK has refused the Gram matrix, to name the
+  failing pivot.
 
 Keeping both paths separate matters: the training code uses the normal-
 equation route precisely because the constructive weight selection
@@ -63,12 +70,8 @@ def _default_tol(a: np.ndarray) -> float:
     return max(a.shape) * np.finfo(np.float64).eps
 
 
-def pinv_svd(a, tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse by SVD, valid for any rank.
-
-    Singular values at or below ``tol * sigma_max`` are treated as zero;
-    ``tol`` defaults to ``max(rows, cols) * machine epsilon``.
-    """
+def _pinv_svd_rank(a, tol: float | None = None):
+    """``(pinv_svd(a, tol), numerical_rank(a, tol))`` from one SVD."""
     a = as_matrix(a, "pinv_svd input")
     if tol is None:
         tol = _default_tol(a)
@@ -79,7 +82,16 @@ def pinv_svd(a, tol: float | None = None) -> np.ndarray:
     inv = np.zeros_like(s)
     keep = s > cutoff
     inv[keep] = 1.0 / s[keep]
-    return (vt.T * inv) @ u.T
+    return (vt.T * inv) @ u.T, int(np.count_nonzero(keep))
+
+
+def pinv_svd(a, tol: float | None = None) -> np.ndarray:
+    """Moore-Penrose pseudoinverse by SVD, valid for any rank.
+
+    Singular values at or below ``tol * sigma_max`` are treated as zero;
+    ``tol`` defaults to ``max(rows, cols) * machine epsilon``.
+    """
+    return _pinv_svd_rank(a, tol)[0]
 
 
 def numerical_rank(a, tol: float | None = None) -> int:
@@ -92,51 +104,62 @@ def numerical_rank(a, tol: float | None = None) -> int:
     return int(np.count_nonzero(s > cutoff))
 
 
-def _cholesky_lower(g: np.ndarray) -> np.ndarray:
-    """Cholesky factor of a symmetric matrix, pivot failures reported.
+def _rank_deficiency(g: np.ndarray) -> RankDeficientError:
+    """The error naming the Cholesky pivot at which ``g`` fails.
 
-    A non-positive (or non-finite) pivot means ``g`` is not numerically
-    positive definite; the failing zero-based pivot index is raised with
-    RankDeficientError rather than patched over.
+    A scalar scan of the factorization, run only after LAPACK refused
+    ``g``. It names the first non-positive (or non-finite) pivot. When
+    LAPACK failed at the rounding edge but every pivot of the scan is
+    positive, it names the pivot ``j`` with the smallest ``s_j / g_jj``
+    (the pivot's value over its diagonal entry) instead.
     """
     n = g.shape[0]
     low = np.zeros_like(g)
+    ratios = np.empty(n)
     for j in range(n):
         s = g[j, j] - low[j, :j] @ low[j, :j]
         if not (s > 0.0 and math.isfinite(s)):
-            raise RankDeficientError(
+            return RankDeficientError(
                 f"Gram matrix is not positive definite at pivot {j} "
                 f"(leading minor of order {j + 1})", pivot=j)
+        ratios[j] = s / g[j, j]
         low[j, j] = math.sqrt(s)
         if j + 1 < n:
             low[j + 1:, j] = (g[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
-    return low
-
-
-def _cholesky_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``(low @ low.T) x = b`` by forward/backward substitution."""
-    n = low.shape[0]
-    y = np.empty_like(b)
-    for i in range(n):
-        y[i] = (b[i] - low[i, :i] @ y[:i]) / low[i, i]
-    x = np.empty_like(b)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - low[i + 1:, i] @ x[i + 1:]) / low[i, i]
-    return x
+    j = int(np.argmin(ratios))
+    return RankDeficientError(
+        f"Gram matrix is not numerically positive definite: LAPACK's "
+        f"Cholesky failed; weakest pivot {j} has {ratios[j]:.3g} of its "
+        f"diagonal left", pivot=j)
 
 
 def pinv_normal(a) -> np.ndarray:
     """Pseudoinverse of a full-column-rank matrix via the Gram system.
 
-    Computes ``(AᵀA)⁻¹Aᵀ`` by forming the Gram matrix and solving the
-    symmetric positive-definite system with a direct Cholesky
-    factorization. Raises RankDeficientError (naming the failing pivot)
-    when the Gram matrix is not numerically positive definite.
+    Computes ``(AᵀA)⁻¹Aᵀ``: LAPACK's Cholesky factors the Gram matrix
+    ``AᵀA = LLᵀ``, one solve against the identity gives ``L⁻¹`` (as many
+    right-hand sides as ``A`` has columns), and the result is the single
+    product ``(L⁻ᵀL⁻¹) @ Aᵀ``. Raises RankDeficientError when the Gram
+    matrix is not numerically positive definite; only then does a
+    scalar rerun of the factorization run, to name the failing pivot.
     """
     a = as_matrix(a, "pinv_normal input")
     gram = a.T @ a
-    low = _cholesky_lower(gram)
-    return _cholesky_solve(low, a.T)
+    try:
+        low = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        low = None
+    # LAPACK lets an infinite or NaN pivot through; the scan rejects it
+    if low is None or not np.isfinite(low).all():
+        raise _rank_deficiency(gram)
+    # free each square temporary once used, so none is still held while
+    # the (columns x rows) result is allocated
+    del gram
+    low_inv = np.linalg.solve(low, np.eye(a.shape[1]))
+    del low
+    gram_inv = low_inv.T @ low_inv
+    del low_inv
+    return gram_inv @ a.T
 
 
 @dataclass(frozen=True)

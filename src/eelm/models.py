@@ -131,8 +131,9 @@ def train_elm(data: Dataset, n_hidden: int, act: Activation = GAUSSIAN_RBF,
     node_weights = rng.uniform(-1.0, 1.0, (n_hidden, data.n_features))
     biases = rng.uniform(-1.0, 1.0, n_hidden)
     h = build_hidden_matrix(node_weights, biases, data.inputs, act)
-    beta = linalg.pinv_svd(h) @ data.targets
-    rank_ok = linalg.numerical_rank(h) == n_hidden
+    pinv, rank = linalg._pinv_svd_rank(h)
+    beta = pinv @ data.targets
+    rank_ok = rank == n_hidden
     train_seconds = time.perf_counter() - t0
     model = SlfnModel(data.n_features, data.n_outputs, n_hidden, node_weights,
                       biases, beta, act, "elm", seed=seed)
@@ -181,14 +182,16 @@ def select_hidden_layer(inputs, n_hidden: int, anchor_strategy: str = "random",
         raise ShapeError(f"inputs must be 2-D, got ndim={x.ndim}")
     n, d = x.shape
     idx = _choose_anchors(n, n_hidden, anchor_strategy, seed, x)
-    anchors = x[idx]
+    # np.take copies whole rows; fancy indexing pays a fixed cost per
+    # row that would dominate the O(n_hidden * dim) work for small dim
+    anchors = np.take(x, idx, axis=0)
     if d == 1:
-        anchors = anchors[np.argsort(anchors[:, 0])]
+        anchors = np.take(anchors, np.argsort(anchors[:, 0]), axis=0)
         if n_hidden > 1 and not (np.diff(anchors[:, 0]) > 0.0).all():
             raise PreconditionError("anchor samples contain duplicates")
         weights = np.ones(1)
     else:
-        anchors = anchors[invlex_sort_indices(anchors)]
+        anchors = np.take(anchors, invlex_sort_indices(anchors), axis=0)
         weights = _sorted_embedding_weights(anchors)
     return select_weights(anchors, weights, act)
 
@@ -220,8 +223,9 @@ def train_eelm(data: Dataset, n_hidden: int, anchor_strategy: str = "random",
 
     h = build_hidden_matrix(params.node_weights, params.biases, inputs, act)
     if force_svd:
-        beta = linalg.pinv_svd(h) @ targets
-        rank_ok = linalg.numerical_rank(h) == n_hidden
+        pinv, rank = linalg._pinv_svd_rank(h)
+        beta = pinv @ targets
+        rank_ok = rank == n_hidden
         path = "svd"
     else:
         beta = linalg.pinv_normal(h) @ targets

@@ -153,7 +153,7 @@ def _construct(x: np.ndarray) -> OrderEmbedding:
     rescaled = xt * scale1[:, None]
     delta = math.log10(2.0 * d)
     if n > 1:
-        gaps = np.abs(np.diff(rescaled, axis=1))
+        gaps = np.abs(rescaled[:, 1:] - rescaled[:, :-1])
         col_min = np.where(gaps > 0.0, gaps, np.inf).min(axis=1)
         diffs_min = np.where(np.isfinite(col_min), col_min, 1.0)
     else:

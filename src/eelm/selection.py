@@ -123,7 +123,7 @@ def select_weights(anchors, weights, act: Activation = GAUSSIAN_RBF) -> Selectio
     proj = x @ w
     if not np.isfinite(proj).all():
         raise NumericOverflowError("anchor projections are not finite")
-    gaps = np.diff(proj)
+    gaps = proj[1:] - proj[:-1]
     if n0 >= 2 and not (gaps > 0.0).all():
         raise PreconditionError(
             "anchor projections must be strictly increasing")
@@ -132,7 +132,7 @@ def select_weights(anchors, weights, act: Activation = GAUSSIAN_RBF) -> Selectio
     x0 = act.peak_location
     dist = max(a - x0, a + x0)
     gains = np.empty(n0)
-    with np.errstate(over="ignore", divide="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if n0 == 1:
             gains[0] = 1.0
         elif n0 == 2:
@@ -141,8 +141,6 @@ def select_weights(anchors, weights, act: Activation = GAUSSIAN_RBF) -> Selectio
             gains[1:-1] = 2.0 * dist / np.minimum(gaps[:-1], gaps[1:])
             gains[0] = gains[1]
             gains[-1] = gains[-2]
-
-    with np.errstate(over="ignore", invalid="ignore"):
         node_weights = gains[:, None] * w[None, :]
         biases = x0 - row_dot(node_weights, x)
     if not (np.isfinite(gains).all() and np.isfinite(node_weights).all()

@@ -53,6 +53,38 @@ def test_pinv_normal_repeated_column_is_rank_deficient():
     assert exc_info.value.pivot == 1
 
 
+def test_pinv_normal_sum_column_names_its_pivot():
+    # third column = first + second; the Gram matrix is exact in float64,
+    # so the third pivot is exactly zero
+    c0 = np.array([1.0, 1.0, 1.0, 1.0])
+    c1 = np.array([1.0, -1.0, 1.0, -1.0])
+    a = np.column_stack([c0, c1, c0 + c1])
+    with pytest.raises(RankDeficientError) as exc_info:
+        pinv_normal(a)
+    assert exc_info.value.pivot == 2
+
+
+def test_pinv_normal_overflowing_gram_is_rank_deficient():
+    with np.errstate(over="ignore"), \
+            pytest.raises(RankDeficientError) as exc_info:
+        pinv_normal(np.array([[1e200, 1.0], [0.0, 1.0]]))
+    assert exc_info.value.pivot == 0
+
+
+def test_pinv_normal_lapack_failure_still_names_a_pivot(monkeypatch):
+    # LAPACK may refuse a Gram matrix at the rounding edge that the
+    # scalar scan still factors; the error must stay RankDeficientError
+    def refuse(g):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    a = np.random.default_rng(5).uniform(-1.0, 1.0, (12, 4))
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    with pytest.raises(RankDeficientError) as exc_info:
+        pinv_normal(a)
+    pivot = exc_info.value.pivot
+    assert isinstance(pivot, int) and 0 <= pivot < 4
+
+
 def test_pinv_agreement_on_random_full_rank():
     rng = np.random.default_rng(101)
     for _ in range(30):

@@ -6,10 +6,11 @@ import pytest
 from eelm.datasets import CLASSIFICATION, REGRESSION, Dataset, gen_sinc
 from eelm.errors import (FormatError, NumericOverflowError, PreconditionError,
                          ShapeError)
-from eelm.linalg import strict_dominance_report
+from eelm.linalg import (numerical_rank, pinv_normal, pinv_svd,
+                         strict_dominance_report)
 from eelm.models import (GAUSSIAN_RBF, SlfnModel, build_hidden_matrix,
-                         load_model, predict, save_model, train_eelm,
-                         train_elm)
+                         load_model, predict, save_model,
+                         select_hidden_layer, train_eelm, train_elm)
 
 
 def regression_data(rng, n, d, m=1, name="toy"):
@@ -164,7 +165,6 @@ def test_train_eelm_multi_output_classification():
     assert report.train_metric >= 0.6
     # the two output columns solve against the same hidden matrix
     h = build_hidden_matrix(model.node_weights, model.biases, data.inputs)
-    from eelm.linalg import pinv_normal
     assert np.allclose(model.output_weights,
                        pinv_normal(h) @ data.targets, atol=1e-10)
 
@@ -192,6 +192,40 @@ def test_train_eelm_force_svd_cross_check():
     assert svd_report.hidden_matrix_rank_ok
     assert np.allclose(normal_model.output_weights,
                        svd_model.output_weights, atol=1e-8)
+
+
+@pytest.mark.parametrize("n_hidden", [200, 20])
+def test_svd_fits_share_one_decomposition(n_hidden):
+    # 200 nodes on the 200-point sinc grid leave H with numerical rank
+    # about 53; 20 nodes give full rank
+    train, _ = gen_sinc(200, 10, seed=0)
+    model, report = train_elm(train, n_hidden, seed=3)
+    h = build_hidden_matrix(model.node_weights, model.biases, train.inputs)
+    assert np.array_equal(model.output_weights,
+                          pinv_svd(h) @ train.targets)
+    assert report.hidden_matrix_rank_ok == (numerical_rank(h) == n_hidden)
+    assert report.hidden_matrix_rank_ok == (n_hidden == 20)
+
+    model, report = train_eelm(train, n_hidden, seed=3, force_svd=True)
+    h = build_hidden_matrix(model.node_weights, model.biases, train.inputs)
+    assert np.array_equal(model.output_weights,
+                          pinv_svd(h) @ train.targets)
+    assert report.hidden_matrix_rank_ok == (numerical_rank(h) == n_hidden)
+
+
+def test_pinv_normal_at_blocked_lapack_sizes():
+    # 300 columns is past the sizes where OpenBLAS switches to its
+    # blocked factorization and solve kernels
+    rng = np.random.default_rng(14)
+    data = regression_data(rng, 3000, 8)
+    elm_nodes = (rng.uniform(-1.0, 1.0, (300, 8)), rng.uniform(-1.0, 1.0, 300))
+    eelm_nodes = select_hidden_layer(data.inputs, 300, seed=2)
+    for node_weights, biases in (elm_nodes, (eelm_nodes.node_weights,
+                                             eelm_nodes.biases)):
+        h = build_hidden_matrix(node_weights, biases, data.inputs)
+        s = np.linalg.svd(h, compute_uv=False)
+        assert s[0] / s[-1] < 1e6
+        assert np.abs(pinv_normal(h) - pinv_svd(h)).max() <= 1e-8
 
 
 def test_predict_zero_weights():
