@@ -12,14 +12,12 @@ failure (including every trial of a benchmark failing numerically).
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
-
-import numpy as np
 
 from .bench import (ExperimentConfig, report_all_failed, run_dataset,
                     run_node_sweep, run_sinc)
-from .datasets import CLASSIFICATION, REGRESSION, CsvSchema, load_csv
+from .datasets import (CLASSIFICATION, REGRESSION, CsvSchema, _read_features,
+                       load_csv)
 from .errors import (FormatError, NumericalFailure, NumericOverflowError,
                      PreconditionError, RankDeficientError, ShapeError)
 from .models import load_model, predict, save_model, train_eelm, train_elm
@@ -217,37 +215,13 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
-    try:
-        with open(args.csv, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise FormatError("empty file, header row required",
-                                  path=args.csv)
-            rows = list(reader)
-    except OSError as exc:
-        raise FormatError(f"cannot read CSV: {exc}", path=args.csv) from exc
-    if not rows:
-        raise FormatError("no data rows", path=args.csv)
-    features = np.empty((len(rows), len(header)))
-    for i, row in enumerate(rows, start=1):
-        if len(row) != len(header):
-            raise FormatError(f"row has {len(row)} cells, header has "
-                              f"{len(header)}", path=args.csv, line=i)
-        for j, cell in enumerate(row):
-            try:
-                features[i - 1, j] = float(cell)
-            except ValueError:
-                raise FormatError(f"cell {cell!r} is not numeric",
-                                  path=args.csv, line=i,
-                                  column=j + 1) from None
-    scores = predict(model, features)
+    scores = predict(model, _read_features(args.csv))
+    # what csv.writer writes for these cells (repr never needs quoting),
+    # in one write
+    lines = [",".join(f"pred_{k + 1}" for k in range(scores.shape[1]))]
+    lines.extend(",".join(map(repr, row)) for row in scores.tolist())
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"pred_{k + 1}" for k in range(scores.shape[1])])
-        for row in scores:
-            writer.writerow([repr(float(v)) for v in row])
+        fh.write("\r\n".join(lines) + "\r\n")
     print(f"wrote {scores.shape[0]} predictions to {args.out}")
     return EXIT_OK
 

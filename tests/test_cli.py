@@ -136,3 +136,93 @@ def test_train_rejects_unknown_model_path(tmp_path):
                  str(tmp_path / "none.csv"), "--out",
                  str(tmp_path / "o.csv")])
     assert code == 3
+
+
+def _trained_model(tmp_path):
+    """A two-output (two-class) EELM model trained through the CLI."""
+    model_path = tmp_path / "model.slfn"
+    code = main(["train", "--csv", str(write_toy_csv(tmp_path / "toy.csv")),
+                 "--target", "label", "--task", "cls", "--algo", "eelm",
+                 "--nodes", "10", "--seed", "3", "--model-out",
+                 str(model_path)])
+    assert code == 0
+    return model_path
+
+
+def _predict_cli(tmp_path, model_path, text):
+    features = tmp_path / "features.csv"
+    features.write_text(text, encoding="utf-8")
+    out = tmp_path / "preds.csv"
+    code = main(["predict", "--model", str(model_path), "--csv",
+                 str(features), "--out", str(out)])
+    return code, out
+
+
+def test_predict_output_bytes_match_csv_writer(tmp_path):
+    model_path = _trained_model(tmp_path)
+    rng = np.random.default_rng(5)
+    points = rng.normal(0.0, 2.0, (9, 2))
+    text = "x1,x2\n" + "".join(f"{a!r},{b!r}\n"
+                                for a, b in points.tolist())
+    code, out = _predict_cli(tmp_path, model_path, text)
+    assert code == 0
+    scores = predict(load_model(model_path), points)
+    assert scores.shape == (9, 2)
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["pred_1", "pred_2"])
+        for row in scores:
+            writer.writerow([repr(float(v)) for v in row])
+    assert out.read_bytes() == reference.read_bytes()
+    assert out.read_bytes().count(b"\r\n") == 10
+
+
+def test_predict_ragged_row_is_a_data_error(tmp_path, capsys):
+    model_path = _trained_model(tmp_path)
+    capsys.readouterr()
+    code, out = _predict_cli(tmp_path, model_path, "x1,x2\n1,2\n3\n")
+    assert code == 3
+    assert "line=2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_predict_non_numeric_cell_is_located(tmp_path, capsys):
+    model_path = _trained_model(tmp_path)
+    capsys.readouterr()
+    code, _ = _predict_cli(tmp_path, model_path, "x1,x2\n1,2\n3,4\n5,six\n")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "'six' is not numeric" in err
+    assert "line=3, column=2" in err
+
+
+@pytest.mark.parametrize("cell", ["inf", "nan", "-1e999"])
+def test_predict_non_finite_cell_is_a_data_error(tmp_path, capsys, cell):
+    model_path = _trained_model(tmp_path)
+    capsys.readouterr()
+    code, _ = _predict_cli(tmp_path, model_path, f"x1,x2\n1,2\n{cell},4\n")
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert "line=2, column=1" in err
+
+
+def test_predict_header_without_rows_is_a_data_error(tmp_path, capsys):
+    model_path = _trained_model(tmp_path)
+    capsys.readouterr()
+    code, out = _predict_cli(tmp_path, model_path, "x1,x2\n")
+    assert code == 3
+    assert "no data rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_non_finite_cell_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "nan.csv"
+    path.write_text("x1,x2,y\n1,2,3\n4,nan,6\n7,8,9\n")
+    code = main(["train", "--csv", str(path), "--target", "y", "--nodes",
+                 "2", "--model-out", str(tmp_path / "m.slfn")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert "line=2, column=2" in err

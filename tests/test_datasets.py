@@ -49,6 +49,50 @@ def test_load_csv_ragged_row(tmp_path):
     assert exc_info.value.line == 2
 
 
+def test_load_csv_parses_cells_as_float_does(tmp_path):
+    cells = [" 1.5 ", "1_0", "\uff11\uff12", "+.5", "1e-320"]
+    path = write(tmp_path, "odd.csv", "a,y\n" + "".join(
+        f"{c},{k}\n" for k, c in enumerate(cells)))
+    data = load_csv(path, CsvSchema(target="y"))
+    assert data.inputs[:, 0].tolist() == [float(c) for c in cells]
+    for k, cell in enumerate(["0x10", ""], start=1):
+        path = write(tmp_path, f"bad{k}.csv", f"a,b,y\n1,2,3\n4,{cell},6\n")
+        with pytest.raises(FormatError) as exc_info:
+            load_csv(path, CsvSchema(target="y"))
+        assert (exc_info.value.line, exc_info.value.column) == (2, 2)
+        assert "not numeric" in str(exc_info.value)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400"])
+def test_load_csv_rejects_non_finite_cells(tmp_path, cell):
+    path = write(tmp_path, "nf.csv", f"a,b,y\n1,2,3\n4,{cell},6\n")
+    with pytest.raises(FormatError) as exc_info:
+        load_csv(path, CsvSchema(target="y"))
+    assert (exc_info.value.line, exc_info.value.column) == (2, 2)
+    assert "not finite" in str(exc_info.value)
+    # a regression target too
+    path = write(tmp_path, "nft.csv", f"y,a\n{cell},1\n3,2\n")
+    with pytest.raises(FormatError) as exc_info:
+        load_csv(path, CsvSchema(target="y"))
+    assert (exc_info.value.line, exc_info.value.column) == (1, 1)
+    assert "target cell" in str(exc_info.value)
+
+
+def test_load_csv_class_labels_may_read_as_non_finite(tmp_path):
+    path = write(tmp_path, "lab.csv", "x,label\n0.5,nan\n1.5,inf\n")
+    data = load_csv(path, CsvSchema(target="label", task=CLASSIFICATION))
+    assert data.class_labels == ("nan", "inf")
+
+
+def test_load_csv_reports_the_first_bad_cell(tmp_path):
+    # attribute cells are checked row by row before any target cell
+    path = write(tmp_path, "two.csv", "a,y,b\n1,x,2\n3,4,nan\n5,6,z\n")
+    with pytest.raises(FormatError) as exc_info:
+        load_csv(path, CsvSchema(target="y"))
+    assert (exc_info.value.line, exc_info.value.column) == (2, 3)
+    assert "not finite" in str(exc_info.value)
+
+
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(FormatError):
         load_csv(tmp_path / "nope.csv", CsvSchema(target="y"))
@@ -110,6 +154,20 @@ def test_gen_sinc_normal_test_distribution():
     assert np.mean(np.abs(x) <= 10.0) > 0.5
     with pytest.raises(PreconditionError):
         gen_sinc(10, 10, seed=0, test_distribution="cauchy")
+
+
+@pytest.mark.parametrize("n_test", [1, 7, 200, 5000])
+def test_gen_sinc_normal_matches_draw_until_accepted(n_test):
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        expected = np.empty(n_test)
+        for i in range(n_test):
+            z = rng.standard_normal()
+            while abs(z) > 3.0:
+                z = rng.standard_normal()
+            expected[i] = 10.0 * z
+        _, test = gen_sinc(10, n_test, seed=seed, test_distribution="normal")
+        assert np.array_equal(test.inputs[:, 0], expected)
 
 
 def test_gen_sinc_validation():

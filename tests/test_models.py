@@ -8,8 +8,9 @@ from eelm.errors import (FormatError, NumericOverflowError, PreconditionError,
                          ShapeError)
 from eelm.linalg import (numerical_rank, pinv_normal, pinv_svd,
                          strict_dominance_report)
-from eelm.models import (GAUSSIAN_RBF, SlfnModel, build_hidden_matrix,
-                         load_model, predict, save_model,
+from eelm import models
+from eelm.models import (GAUSSIAN_RBF, PREDICT_BLOCK_CELLS, SlfnModel,
+                         build_hidden_matrix, load_model, predict, save_model,
                          select_hidden_layer, train_eelm, train_elm)
 
 
@@ -246,6 +247,57 @@ def test_predict_validates_dimensions():
                       GAUSSIAN_RBF, "eelm")
     with pytest.raises(ShapeError):
         predict(model, np.ones((3, 5)))
+
+
+def _random_model(rng, n_hidden, d=3, m=2):
+    return SlfnModel(d, m, n_hidden, rng.uniform(-1, 1, (n_hidden, d)),
+                     rng.uniform(-1, 1, n_hidden),
+                     rng.normal(size=(n_hidden, m)), GAUSSIAN_RBF, "elm")
+
+
+def _block_rows(n_hidden):
+    return 64 * max(1, PREDICT_BLOCK_CELLS // (64 * n_hidden))
+
+
+@pytest.mark.parametrize("n_hidden", [20, 1000, 3000])
+def test_predict_around_one_block_equals_one_product(n_hidden):
+    rng = np.random.default_rng(n_hidden)
+    model = _random_model(rng, n_hidden)
+    block = _block_rows(n_hidden)
+    for n in (block - 1, block, block + 1):
+        x = rng.normal(size=(n, 3))
+        h = build_hidden_matrix(model.node_weights, model.biases, x)
+        assert np.array_equal(predict(model, x), h @ model.output_weights)
+
+
+@pytest.mark.parametrize("n_hidden", [20, 1000, 3000])
+def test_predict_builds_hidden_matrix_in_blocks(monkeypatch, n_hidden):
+    rng = np.random.default_rng(n_hidden)
+    model = _random_model(rng, n_hidden)
+    block = _block_rows(n_hidden)
+    n = 3 * block + 7
+    x = rng.normal(size=(n, 3))
+    h = build_hidden_matrix(model.node_weights, model.biases, x)
+    seen = []
+
+    def counting(node_weights, biases, inputs, act=GAUSSIAN_RBF):
+        seen.append(len(inputs))
+        return build_hidden_matrix(node_weights, biases, inputs, act)
+
+    monkeypatch.setattr(models, "build_hidden_matrix", counting)
+    got = predict(model, x)
+    # the last block takes the remainder; H is never built whole
+    assert seen == [block, block, block + 7]
+    # BLAS may pick another kernel for a smaller product, so the blocks
+    # agree with one product over all rows to rounding, not bit for bit
+    bound = n_hidden * np.finfo(float).eps * (np.abs(h)
+                                              @ np.abs(model.output_weights))
+    assert (np.abs(got - h @ model.output_weights) <= bound).all()
+
+
+def test_predict_no_rows():
+    model = _random_model(np.random.default_rng(0), 5)
+    assert predict(model, np.empty((0, 3))).shape == (0, 2)
 
 
 def test_model_roundtrip_bit_exact(tmp_path):
