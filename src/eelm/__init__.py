@@ -13,34 +13,30 @@ from .bench import (ExperimentConfig, run_dataset, run_node_sweep, run_sinc,
                     validate_report)
 from .datasets import (CLASSIFICATION, REGRESSION, CsvSchema, Dataset,
                        classification_rate, gen_sinc, load_csv, minmax_scale,
-                       one_hot_decode, one_hot_encode, rmse, sinc, split)
+                       rmse, split)
 from .errors import (FormatError, NoDifferenceError, NumericalFailure,
                      NumericOverflowError, PreconditionError,
                      RankDeficientError, ShapeError)
-from .linalg import (DominanceReport, numerical_rank, pinv_normal, pinv_svd,
-                     strict_dominance_report)
-from .models import (SlfnModel, TrainReport, build_hidden_matrix, load_model,
-                     predict, save_model, select_hidden_layer, train_eelm,
-                     train_elm)
-from .ordering import (OrderEmbedding, build_embedding, different_attribute,
-                       embed_or_identity, invlex_compare, invlex_sort_indices)
-from .selection import (GAUSSIAN_RBF, Activation, SelectionParams,
-                        cutoff_radius, select_weights)
+from .models import (SlfnModel, TrainReport, load_model, predict, save_model,
+                     train_eelm, train_elm)
 
 __version__ = "0.1.0"
 
+# The building blocks (the embedding, the selection, the pseudoinverse
+# paths, CSV helpers) stay importable from their submodules.
 __all__ = [
-    "Activation", "CLASSIFICATION", "CsvSchema", "Dataset",
-    "DominanceReport", "ExperimentConfig", "FormatError", "GAUSSIAN_RBF",
-    "NoDifferenceError", "NumericOverflowError", "NumericalFailure",
-    "OrderEmbedding", "PreconditionError", "REGRESSION",
-    "RankDeficientError", "SelectionParams", "ShapeError", "SlfnModel",
-    "TrainReport", "build_embedding", "build_hidden_matrix",
-    "classification_rate", "cutoff_radius", "different_attribute",
-    "embed_or_identity", "gen_sinc", "invlex_compare", "invlex_sort_indices",
-    "load_csv", "load_model", "minmax_scale", "numerical_rank",
-    "one_hot_decode", "one_hot_encode", "pinv_normal", "pinv_svd", "predict",
-    "rmse", "run_dataset", "run_node_sweep", "run_sinc", "save_model",
-    "select_hidden_layer", "select_weights", "sinc", "split",
-    "strict_dominance_report", "train_eelm", "train_elm", "validate_report",
+    # errors
+    "FormatError", "NoDifferenceError", "NumericalFailure",
+    "NumericOverflowError", "PreconditionError", "RankDeficientError",
+    "ShapeError",
+    # data
+    "CLASSIFICATION", "REGRESSION", "CsvSchema", "Dataset",
+    "classification_rate", "gen_sinc", "load_csv", "minmax_scale", "rmse",
+    "split",
+    # models
+    "SlfnModel", "TrainReport", "load_model", "predict", "save_model",
+    "train_eelm", "train_elm",
+    # experiments
+    "ExperimentConfig", "run_dataset", "run_node_sweep", "run_sinc",
+    "validate_report",
 ]

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
-import math
 import platform
 import sys
 import time
@@ -22,8 +22,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .datasets import CLASSIFICATION, CsvSchema, Dataset, classification_rate, \
-    gen_sinc, load_csv, rmse, split
+from .datasets import CLASSIFICATION, REGRESSION, CsvSchema, Dataset, \
+    classification_rate, gen_sinc, load_csv, rmse, split
 from .errors import (FormatError, NumericalFailure, NumericOverflowError,
                      PreconditionError, RankDeficientError)
 from .models import predict, train_eelm, train_elm
@@ -168,13 +168,13 @@ def _config_dict(config: ExperimentConfig) -> dict:
 
 
 def _base_report(experiment: str, config: ExperimentConfig,
-                 metric_name: str) -> dict:
+                 task: str) -> dict:
     return {
         "schema": REPORT_SCHEMA,
         "experiment": experiment,
         "environment": _environment(),
         "config": _config_dict(config),
-        "metric": metric_name,
+        "metric": _metric_for(task)[0],
         "algorithms": {},
     }
 
@@ -188,34 +188,61 @@ def _finish(report: dict, config: ExperimentConfig) -> dict:
     return report
 
 
+def _run_trials(config: ExperimentConfig, nodes: int, source,
+                once=frozenset()):
+    """Every trial of every configured algorithm at one node count.
+
+    ``source(trial_seed)`` gives the (train, test) pair of a trial.
+    Algorithms in ``once`` are deterministic given the data and the
+    anchor seed, so they run on the first trial only. A node count
+    above the training side is a configuration error, not a failure of
+    each trial. Returns the report section of each algorithm and the
+    first model each one fitted.
+    """
+    records = {algo: [] for algo in config.algorithms}
+    models: dict[str, object] = {}
+    for i in range(config.trials):
+        trial_seed = config.seed + i
+        train_ds, test_ds = source(trial_seed)
+        if i == 0:
+            if nodes > train_ds.n_samples:
+                raise PreconditionError(
+                    f"nodes={nodes} exceeds the {train_ds.n_samples} "
+                    f"training samples")
+            metric_name, metric_fn = _metric_for(train_ds.task)
+        for algo in config.algorithms:
+            if i > 0 and algo in once:
+                continue
+            record, model = _run_trial(algo, train_ds, test_ds, nodes, i,
+                                       trial_seed, config, metric_fn)
+            records[algo].append(record)
+            if model is not None:
+                models.setdefault(algo, model)
+    sections = {algo: _algo_section(recs, metric_name)
+                for algo, recs in records.items()}
+    return sections, models
+
+
+def _sinc_data(config: ExperimentConfig, seed: int):
+    return gen_sinc(config.n_train, config.n_test, seed,
+                    noise_sigma=config.noise_sigma,
+                    test_distribution=config.test_distribution)
+
+
 def run_sinc(config: ExperimentConfig) -> dict:
     """The sinc comparison: many seeded random-layer trials against one
     deterministic constructive run, plus an xy plot-data file."""
     config.validate()
     if config.nodes is None:
         raise PreconditionError("sinc experiment needs a node count")
-    train_ds, test_ds = gen_sinc(config.n_train, config.n_test, config.seed,
-                                 noise_sigma=config.noise_sigma,
-                                 test_distribution=config.test_distribution)
-    metric_name, metric_fn = _metric_for(train_ds.task)
-    report = _base_report("sinc", config, metric_name)
-
-    plot_models: dict[str, object] = {}
-    for algo in config.algorithms:
-        # the random algorithm averages over trials; the constructive
-        # one is deterministic given the anchor seed, so it runs once
-        n_runs = config.trials if algo == "elm" else 1
-        records = []
-        for i in range(n_runs):
-            record, model = _run_trial(algo, train_ds, test_ds, config.nodes,
-                                       i, config.seed + i, config, metric_fn)
-            records.append(record)
-            if model is not None and algo not in plot_models:
-                plot_models[algo] = model
-        report["algorithms"][algo] = _algo_section(records, metric_name)
-
+    # one data set for every trial: only the random layer varies
+    train_ds, test_ds = _sinc_data(config, config.seed)
+    report = _base_report("sinc", config, REGRESSION)
+    report["algorithms"], models = _run_trials(
+        config, config.nodes, lambda seed: (train_ds, test_ds),
+        once={"eelm"})
     if config.plot_path:
-        _write_sinc_plot(config.plot_path, train_ds, test_ds, plot_models)
+        _write_sinc_plot(config.plot_path, train_ds, test_ds, models)
     return _finish(report, config)
 
 
@@ -240,10 +267,12 @@ def _write_sinc_plot(path, train_ds: Dataset, test_ds: Dataset,
             writer.writerow([repr(float(col[i])) for col in columns.values()])
 
 
-def _load_config_csv(config: ExperimentConfig) -> Dataset:
+def _csv_source(config: ExperimentConfig):
+    """The configured CSV dataset and the trial source splitting it."""
     if config.csv_path is None or config.csv_schema is None:
         raise PreconditionError("experiment needs csv_path and csv_schema")
-    return load_csv(config.csv_path, config.csv_schema)
+    data = load_csv(config.csv_path, config.csv_schema)
+    return data, lambda seed: split(data, config.split_fraction, seed)
 
 
 def run_dataset(config: ExperimentConfig) -> dict:
@@ -251,27 +280,11 @@ def run_dataset(config: ExperimentConfig) -> dict:
     config.validate()
     if config.nodes is None:
         raise PreconditionError("dataset experiment needs a node count")
-    data = _load_config_csv(config)
-    metric_name, metric_fn = _metric_for(data.task)
-    if config.nodes > math.ceil(config.split_fraction * data.n_samples):
-        raise PreconditionError(
-            f"nodes={config.nodes} exceeds the training side of a "
-            f"{config.split_fraction} split of {data.n_samples} samples")
-    report = _base_report("dataset", config, metric_name)
+    data, source = _csv_source(config)
+    report = _base_report("dataset", config, data.task)
     report["dataset"] = {"name": data.name, "n_samples": data.n_samples,
                          "n_features": data.n_features, "task": data.task}
-
-    records_by_algo = {algo: [] for algo in config.algorithms}
-    for i in range(config.trials):
-        trial_seed = config.seed + i
-        train_ds, test_ds = split(data, config.split_fraction, trial_seed)
-        for algo in config.algorithms:
-            record, _ = _run_trial(algo, train_ds, test_ds, config.nodes, i,
-                                   trial_seed, config, metric_fn)
-            records_by_algo[algo].append(record)
-    for algo in config.algorithms:
-        report["algorithms"][algo] = _algo_section(records_by_algo[algo],
-                                                   metric_name)
+    report["algorithms"], _ = _run_trials(config, config.nodes, source)
     return _finish(report, config)
 
 
@@ -280,38 +293,16 @@ def run_node_sweep(config: ExperimentConfig) -> dict:
     config.validate()
     if not config.node_sweep:
         raise PreconditionError("sweep experiment needs a node_sweep list")
-    use_csv = config.csv_path is not None
-    data = _load_config_csv(config) if use_csv else None
-    if use_csv:
-        metric_name, metric_fn = _metric_for(data.task)
+    if config.csv_path is not None:
+        data, source = _csv_source(config)
+        task = data.task
     else:
-        metric_name, metric_fn = _metric_for("regression")
-    report = _base_report("sweep", config, metric_name)
+        task, source = REGRESSION, functools.partial(_sinc_data, config)
+    report = _base_report("sweep", config, task)
     del report["algorithms"]
-    report["sweep"] = []
-
-    for nodes in config.node_sweep:
-        entry = {"nodes": nodes, "algorithms": {}}
-        records_by_algo = {algo: [] for algo in config.algorithms}
-        for i in range(config.trials):
-            trial_seed = config.seed + i
-            if use_csv:
-                train_ds, test_ds = split(data, config.split_fraction,
-                                          trial_seed)
-            else:
-                train_ds, test_ds = gen_sinc(
-                    config.n_train, config.n_test, trial_seed,
-                    noise_sigma=config.noise_sigma,
-                    test_distribution=config.test_distribution)
-            for algo in config.algorithms:
-                record, _ = _run_trial(algo, train_ds, test_ds, nodes, i,
-                                       trial_seed, config, metric_fn)
-                records_by_algo[algo].append(record)
-        for algo in config.algorithms:
-            entry["algorithms"][algo] = _algo_section(records_by_algo[algo],
-                                                      metric_name)
-        report["sweep"].append(entry)
-
+    report["sweep"] = [{"nodes": nodes,
+                        "algorithms": _run_trials(config, nodes, source)[0]}
+                       for nodes in config.node_sweep]
     if config.plot_path:
         _write_sweep_plot(config.plot_path, report, config)
     return _finish(report, config)

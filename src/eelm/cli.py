@@ -12,6 +12,7 @@ failure (including every trial of a benchmark failing numerically).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .bench import (ExperimentConfig, report_all_failed, run_dataset,
@@ -20,7 +21,8 @@ from .datasets import (CLASSIFICATION, REGRESSION, CsvSchema, _read_features,
                        load_csv)
 from .errors import (FormatError, NumericalFailure, NumericOverflowError,
                      PreconditionError, RankDeficientError, ShapeError)
-from .models import load_model, predict, save_model, train_eelm, train_elm
+from .models import (ANCHOR_STRATEGIES, load_model, predict, save_model,
+                     train_eelm, train_elm)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -30,23 +32,46 @@ EXIT_NUMERIC = 4
 _TASKS = {"reg": REGRESSION, "cls": CLASSIFICATION}
 
 
+def _add_model_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    parser.add_argument("--anchor-strategy", choices=ANCHOR_STRATEGIES,
+                        default="random",
+                        help="how the constructive algorithm picks anchors")
+
+
+# Each experiment flag's dest is the ExperimentConfig field it sets
+# (see _config).
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--algo", choices=("elm", "eelm", "both"),
                         default="both", help="which algorithm(s) to run")
     parser.add_argument("--trials", type=int, default=1,
                         help="number of seeded trials")
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    parser.add_argument("--anchor-strategy",
-                        choices=("first", "random", "even"), default="random",
-                        help="how the constructive algorithm picks anchors")
-    parser.add_argument("--out", metavar="PATH",
+    _add_model_flags(parser)
+    parser.add_argument("--out", dest="out_path", metavar="PATH",
                         help="write the JSON report here")
-    parser.add_argument("--plot-data", metavar="PATH",
+    parser.add_argument("--plot-data", dest="plot_path", metavar="PATH",
                         help="write plot-ready CSV data here")
 
 
+def _add_sinc_source(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--n-train", type=int, default=200)
+    parser.add_argument("--n-test", type=int, default=200)
+    parser.add_argument("--noise", dest="noise_sigma", type=float,
+                        default=0.0, metavar="SIGMA",
+                        help="training-target noise standard deviation")
+    parser.add_argument("--test-dist", dest="test_distribution",
+                        choices=("uniform", "normal"), default="uniform")
+
+
+def _add_split(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--split", dest="split_fraction", type=float,
+                        default=0.75, metavar="F",
+                        help="training fraction of each split")
+
+
 def _add_csv_source(parser: argparse.ArgumentParser, required: bool) -> None:
-    parser.add_argument("--csv", metavar="PATH", required=required,
+    parser.add_argument("--csv", dest="csv_path", metavar="PATH",
+                        required=required,
                         help="dataset CSV (header row required)")
     parser.add_argument("--target", metavar="COL", action="append",
                         help="target column name (repeatable for "
@@ -65,19 +90,13 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sinc", help="sin(x)/x benchmark on [-10,10] with "
                                     "test points on [-30,30]")
     p.add_argument("--nodes", type=int, default=200)
-    p.add_argument("--n-train", type=int, default=200)
-    p.add_argument("--n-test", type=int, default=200)
-    p.add_argument("--noise", type=float, default=0.0, metavar="SIGMA",
-                   help="training-target noise standard deviation")
-    p.add_argument("--test-dist", choices=("uniform", "normal"),
-                   default="uniform")
+    _add_sinc_source(p)
     _add_common(p)
     p.set_defaults(func=_cmd_sinc, trials=50)
 
     p = sub.add_parser("bench", help="repeated random-split trials on a CSV")
     p.add_argument("--nodes", type=int, required=True)
-    p.add_argument("--split", type=float, default=0.75, metavar="F",
-                   help="training fraction of each split")
+    _add_split(p)
     _add_csv_source(p, required=True)
     _add_common(p)
     p.set_defaults(func=_cmd_bench)
@@ -86,12 +105,8 @@ def _parser() -> argparse.ArgumentParser:
                                      "counts")
     p.add_argument("--nodes-sweep", required=True, metavar="A,B,C",
                    help="comma-separated node counts")
-    p.add_argument("--split", type=float, default=0.75, metavar="F")
-    p.add_argument("--n-train", type=int, default=200)
-    p.add_argument("--n-test", type=int, default=200)
-    p.add_argument("--noise", type=float, default=0.0, metavar="SIGMA")
-    p.add_argument("--test-dist", choices=("uniform", "normal"),
-                   default="uniform")
+    _add_split(p)
+    _add_sinc_source(p)
     _add_csv_source(p, required=False)
     _add_common(p)
     p.set_defaults(func=_cmd_sweep)
@@ -100,9 +115,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, required=True)
     _add_csv_source(p, required=True)
     p.add_argument("--algo", choices=("elm", "eelm"), default="eelm")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--anchor-strategy",
-                   choices=("first", "random", "even"), default="random")
+    _add_model_flags(p)
     p.add_argument("--model-out", required=True, metavar="PATH")
     p.set_defaults(func=_cmd_train)
 
@@ -116,15 +129,25 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _algorithms(args) -> tuple[str, ...]:
-    return ("elm", "eelm") if args.algo == "both" else (args.algo,)
-
-
 def _schema(args) -> CsvSchema:
     if not args.target:
         raise PreconditionError("--target is required with --csv")
     target = args.target[0] if len(args.target) == 1 else tuple(args.target)
     return CsvSchema(target=target, task=_TASKS[args.task])
+
+
+_CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(ExperimentConfig))
+
+
+def _config(args, **fields) -> ExperimentConfig:
+    """The ExperimentConfig of an experiment command line: every flag
+    whose dest names a config field, the algorithms, the CSV schema when
+    a CSV is given, and ``fields``."""
+    given = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS}
+    if given.get("csv_path"):
+        given["csv_schema"] = _schema(args)
+    algorithms = ("elm", "eelm") if args.algo == "both" else (args.algo,)
+    return ExperimentConfig(algorithms=algorithms, **given, **fields)
 
 
 def _print_summary(report: dict) -> None:
@@ -159,23 +182,11 @@ def _finish_bench(report: dict) -> int:
 
 
 def _cmd_sinc(args) -> int:
-    config = ExperimentConfig(
-        algorithms=_algorithms(args), nodes=args.nodes, trials=args.trials,
-        seed=args.seed, anchor_strategy=args.anchor_strategy,
-        n_train=args.n_train, n_test=args.n_test, noise_sigma=args.noise,
-        test_distribution=args.test_dist, out_path=args.out,
-        plot_path=args.plot_data)
-    return _finish_bench(run_sinc(config))
+    return _finish_bench(run_sinc(_config(args)))
 
 
 def _cmd_bench(args) -> int:
-    config = ExperimentConfig(
-        algorithms=_algorithms(args), nodes=args.nodes, trials=args.trials,
-        seed=args.seed, split_fraction=args.split,
-        anchor_strategy=args.anchor_strategy, csv_path=args.csv,
-        csv_schema=_schema(args), out_path=args.out,
-        plot_path=args.plot_data)
-    return _finish_bench(run_dataset(config))
+    return _finish_bench(run_dataset(_config(args)))
 
 
 def _cmd_sweep(args) -> int:
@@ -185,19 +196,11 @@ def _cmd_sweep(args) -> int:
         raise PreconditionError(
             f"--nodes-sweep must be comma-separated integers, got "
             f"{args.nodes_sweep!r}") from None
-    config = ExperimentConfig(
-        algorithms=_algorithms(args), node_sweep=sweep, trials=args.trials,
-        seed=args.seed, split_fraction=args.split,
-        anchor_strategy=args.anchor_strategy,
-        n_train=args.n_train, n_test=args.n_test, noise_sigma=args.noise,
-        test_distribution=args.test_dist,
-        csv_path=args.csv, csv_schema=_schema(args) if args.csv else None,
-        out_path=args.out, plot_path=args.plot_data)
-    return _finish_bench(run_node_sweep(config))
+    return _finish_bench(run_node_sweep(_config(args, node_sweep=sweep)))
 
 
 def _cmd_train(args) -> int:
-    data = load_csv(args.csv, _schema(args))
+    data = load_csv(args.csv_path, _schema(args))
     if args.algo == "elm":
         model, report = train_elm(data, args.nodes, seed=args.seed)
     else:

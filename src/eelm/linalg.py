@@ -58,26 +58,19 @@ def as_matrix(a, name: str = "matrix", allow_nonfinite: bool = False) -> np.ndar
     return arr
 
 
-def _svd(a: np.ndarray):
-    try:
-        return np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
-
-
-def _default_tol(a: np.ndarray) -> float:
-    # standard effective-rank cutoff relative to the largest singular value
-    return max(a.shape) * np.finfo(np.float64).eps
-
-
 def _pinv_svd_rank(a, tol: float | None = None):
     """``(pinv_svd(a, tol), numerical_rank(a, tol))`` from one SVD."""
     a = as_matrix(a, "pinv_svd input")
     if tol is None:
-        tol = _default_tol(a)
+        # standard effective-rank cutoff relative to the largest
+        # singular value
+        tol = max(a.shape) * np.finfo(np.float64).eps
     elif tol < 0:
         raise PreconditionError(f"tol must be >= 0, got {tol}")
-    u, s, vt = _svd(a)
+    try:
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
     cutoff = tol * (s[0] if s.size else 0.0)
     inv = np.zeros_like(s)
     keep = s > cutoff
@@ -96,12 +89,7 @@ def pinv_svd(a, tol: float | None = None) -> np.ndarray:
 
 def numerical_rank(a, tol: float | None = None) -> int:
     """Number of singular values above the ``pinv_svd`` cutoff."""
-    a = as_matrix(a, "numerical_rank input")
-    if tol is None:
-        tol = _default_tol(a)
-    s = _svd(a)[1]
-    cutoff = tol * (s[0] if s.size else 0.0)
-    return int(np.count_nonzero(s > cutoff))
+    return _pinv_svd_rank(a, tol)[1]
 
 
 def _rank_deficiency(g: np.ndarray) -> RankDeficientError:

@@ -25,7 +25,7 @@ from . import linalg
 from .datasets import CLASSIFICATION, Dataset, classification_rate, rmse
 from .errors import (FormatError, NumericOverflowError, PreconditionError,
                      ShapeError)
-from .ordering import _sorted_embedding_weights, invlex_sort_indices
+from .ordering import _sorted_weights, invlex_sort_indices
 from .selection import GAUSSIAN_RBF, Activation, select_weights
 
 __all__ = ["SlfnModel", "TrainReport", "build_hidden_matrix", "train_elm",
@@ -186,20 +186,12 @@ def select_hidden_layer(inputs, n_hidden: int, anchor_strategy: str = "random",
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"inputs must be 2-D, got ndim={x.ndim}")
-    n, d = x.shape
-    idx = _choose_anchors(n, n_hidden, anchor_strategy, seed, x)
+    idx = _choose_anchors(x.shape[0], n_hidden, anchor_strategy, seed, x)
     # np.take copies whole rows; fancy indexing pays a fixed cost per
     # row that would dominate the O(n_hidden * dim) work for small dim
     anchors = np.take(x, idx, axis=0)
-    if d == 1:
-        anchors = np.take(anchors, np.argsort(anchors[:, 0]), axis=0)
-        if n_hidden > 1 and not (np.diff(anchors[:, 0]) > 0.0).all():
-            raise PreconditionError("anchor samples contain duplicates")
-        weights = np.ones(1)
-    else:
-        anchors = np.take(anchors, invlex_sort_indices(anchors), axis=0)
-        weights = _sorted_embedding_weights(anchors)
-    return select_weights(anchors, weights, act)
+    anchors = np.take(anchors, invlex_sort_indices(anchors), axis=0)
+    return select_weights(anchors, _sorted_weights(anchors), act)
 
 
 def train_eelm(data: Dataset, n_hidden: int, anchor_strategy: str = "random",

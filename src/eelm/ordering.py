@@ -125,25 +125,31 @@ class OrderEmbedding:
         return x @ self.weights
 
 
-def _validate_sorted_distinct(x: np.ndarray) -> None:
-    # columnwise from the deciding attribute down: each adjacent pair is
-    # decided by its highest nonzero difference (flat passes only; the
-    # per-row reduction machinery costs far more at small d)
+def _check_samples(x: np.ndarray) -> None:
+    """PreconditionError unless the rows of ``x`` (n x d) are finite,
+    none all-zero, pairwise distinct and ascending in inverse-lex order.
+
+    Each adjacent pair is decided by its highest non-zero difference; a
+    pair with none is a duplicate. A sum of absolute values is zero
+    exactly when every term is, so the all-zero test is exact too.
+    """
+    if not np.isfinite(x).all():
+        raise PreconditionError("samples contain non-finite entries")
+    if not (np.abs(x) @ np.ones(x.shape[1]) > 0.0).all():
+        raise PreconditionError("the all-zero sample is not allowed")
     diffs = x[1:] - x[:-1]
-    undecided = np.ones(diffs.shape[0], dtype=bool)
-    descending = np.zeros(diffs.shape[0], dtype=bool)
-    for j in range(x.shape[1] - 1, -1, -1):
-        dj = diffs[:, j]
-        descending |= undecided & (dj < 0.0)
-        undecided &= dj == 0.0
-    if undecided.any():
-        raise PreconditionError("samples contain duplicates")
-    if descending.any():
+    last = x.shape[1] - 1 - np.argmax(diffs[:, ::-1] != 0.0, axis=1)
+    deciding = diffs[np.arange(diffs.shape[0]), last]
+    if not (deciding > 0.0).all():
         raise PreconditionError(
-            "samples are not sorted ascending in inverse-lex order")
+            "samples contain duplicates" if (deciding == 0.0).any()
+            else "samples are not sorted ascending in inverse-lex order")
 
 
 def _construct(x: np.ndarray) -> OrderEmbedding:
+    """The embedding of the samples ``x`` (n >= 1, d >= 2), after
+    :func:`_check_samples` has accepted them."""
+    _check_samples(x)
     # work attribute-major: per-attribute reductions then run along the
     # contiguous axis instead of through per-row reduction machinery
     n, d = x.shape
@@ -189,14 +195,6 @@ def build_embedding(samples) -> OrderEmbedding:
     if d < 2:
         raise PreconditionError(
             f"need dimension >= 2, got {d} (use embed_or_identity for d=1)")
-    if not np.isfinite(x).all():
-        raise PreconditionError("samples contain non-finite entries")
-    nonzero = x[:, 0] != 0.0
-    for j in range(1, d):
-        nonzero |= x[:, j] != 0.0
-    if not nonzero.all():
-        raise PreconditionError("the all-zero sample is not allowed")
-    _validate_sorted_distinct(x)
     return _construct(x)
 
 
@@ -213,29 +211,14 @@ def embed_or_identity(samples) -> np.ndarray:
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"samples must be 2-D, got ndim={x.ndim}")
-    n, d = x.shape
-    if n < 1:
+    if x.shape[0] < 1:
         raise PreconditionError("samples must be non-empty")
-    if d == 1:
+    return _sorted_weights(x[invlex_sort_indices(x)])
+
+
+def _sorted_weights(xs: np.ndarray) -> np.ndarray:
+    """Embedding weights of invlex-sorted samples: the identity (1,) for
+    d = 1, the validated construction for d >= 2."""
+    if xs.shape[1] == 1:
         return np.ones(1)
-    xs = x[invlex_sort_indices(x)] if n > 1 else x
-    return _sorted_embedding_weights(xs)
-
-
-def _sorted_embedding_weights(xs: np.ndarray) -> np.ndarray:
-    """Construction for already invlex-sorted samples (d >= 2).
-
-    Sortedness is the caller's guarantee; the degenerate inputs the
-    construction cannot accept are still checked cheaply (a sum of
-    absolute values is zero exactly when every term is, so both checks
-    are exact).
-    """
-    n, d = xs.shape
-    if not np.isfinite(xs).all():
-        raise PreconditionError("samples contain non-finite entries")
-    ones = np.ones(d)
-    if not (np.abs(xs) @ ones > 0.0).all():
-        raise PreconditionError("the all-zero sample is not allowed")
-    if n > 1 and not (np.abs(xs[1:] - xs[:-1]) @ ones > 0.0).all():
-        raise PreconditionError("samples contain duplicates")
     return _construct(xs).weights

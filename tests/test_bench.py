@@ -145,6 +145,37 @@ def test_run_node_sweep_on_sinc():
         assert section["aggregates"]["select_seconds"]["mean"] >= 0.0
 
 
+def without_timings(obj):
+    """A report section with every ``*_seconds`` entry removed."""
+    if isinstance(obj, dict):
+        return {k: without_timings(v) for k, v in obj.items()
+                if not k.endswith("_seconds")}
+    if isinstance(obj, list):
+        return [without_timings(v) for v in obj]
+    return obj
+
+
+def test_sinc_sweep_of_one_node_count_is_the_sinc_run():
+    config = ExperimentConfig(nodes=15, node_sweep=(15,), trials=1, seed=4,
+                              n_train=30, n_test=20, noise_sigma=0.1)
+    sinc = run_sinc(config)
+    sweep = run_node_sweep(config)
+    assert (without_timings(sweep["sweep"][0]["algorithms"])
+            == without_timings(sinc["algorithms"]))
+
+
+def test_csv_sweep_of_one_node_count_is_the_dataset_run(tmp_path):
+    path = write_toy_csv(tmp_path / "toy.csv")
+    config = ExperimentConfig(nodes=6, node_sweep=(6,), trials=3, seed=11,
+                              csv_path=str(path),
+                              csv_schema=CsvSchema(target="label",
+                                                   task=CLASSIFICATION))
+    dataset = run_dataset(config)
+    sweep = run_node_sweep(config)
+    assert (without_timings(sweep["sweep"][0]["algorithms"])
+            == without_timings(dataset["algorithms"]))
+
+
 def test_eelm_failures_are_counted_not_hidden(tmp_path):
     # relative attribute gaps of 1e-40 overflow the embedding exponents;
     # the random-layer algorithm is unaffected

@@ -6,7 +6,10 @@ import json
 import numpy as np
 import pytest
 
+from eelm import cli
+from eelm.bench import ExperimentConfig
 from eelm.cli import main
+from eelm.datasets import CLASSIFICATION, REGRESSION, CsvSchema
 from eelm.models import load_model, predict
 
 from test_bench import write_toy_csv
@@ -86,6 +89,56 @@ def test_train_and_predict_round_trip(tmp_path):
     assert np.array_equal(written, predict(model, points))
 
 
+@pytest.mark.parametrize("argv, runner, expected", [
+    (["sinc"], "run_sinc",
+     ExperimentConfig(nodes=200, trials=50)),
+    (["sinc", "--algo", "eelm", "--nodes", "30", "--n-train", "40",
+      "--n-test", "25", "--noise", "0.5", "--test-dist", "normal",
+      "--trials", "3", "--seed", "7", "--anchor-strategy", "even",
+      "--out", "r.json", "--plot-data", "p.csv"], "run_sinc",
+     ExperimentConfig(algorithms=("eelm",), nodes=30, trials=3, seed=7,
+                      anchor_strategy="even", n_train=40, n_test=25,
+                      noise_sigma=0.5, test_distribution="normal",
+                      out_path="r.json", plot_path="p.csv")),
+    (["bench", "--csv", "d.csv", "--target", "label", "--task", "cls",
+      "--nodes", "8"], "run_dataset",
+     ExperimentConfig(nodes=8, csv_path="d.csv",
+                      csv_schema=CsvSchema("label", CLASSIFICATION))),
+    (["bench", "--csv", "d.csv", "--target", "y1", "--target", "y2",
+      "--nodes", "8", "--split", "0.5", "--algo", "elm", "--trials", "4",
+      "--seed", "2", "--anchor-strategy", "first", "--out", "r.json",
+      "--plot-data", "p.csv"], "run_dataset",
+     ExperimentConfig(algorithms=("elm",), nodes=8, trials=4, seed=2,
+                      split_fraction=0.5, anchor_strategy="first",
+                      csv_path="d.csv",
+                      csv_schema=CsvSchema(("y1", "y2"), REGRESSION),
+                      out_path="r.json", plot_path="p.csv")),
+    (["sweep", "--nodes-sweep", "10,20"], "run_node_sweep",
+     ExperimentConfig(node_sweep=(10, 20))),
+    (["sweep", "--nodes-sweep", "5,", "--n-train", "50", "--n-test", "9",
+      "--noise", "0.1", "--test-dist", "normal", "--split", "0.6",
+      "--trials", "2"], "run_node_sweep",
+     ExperimentConfig(node_sweep=(5,), trials=2, split_fraction=0.6,
+                      n_train=50, n_test=9, noise_sigma=0.1,
+                      test_distribution="normal")),
+    (["sweep", "--nodes-sweep", "4,8", "--csv", "d.csv", "--target", "y",
+      "--seed", "3"], "run_node_sweep",
+     ExperimentConfig(node_sweep=(4, 8), seed=3, csv_path="d.csv",
+                      csv_schema=CsvSchema("y", REGRESSION))),
+])
+def test_experiment_flags_build_the_config(monkeypatch, argv, runner,
+                                           expected):
+    class Captured(Exception):
+        pass
+
+    def capture(config):
+        raise Captured(config)
+    monkeypatch.setattr(cli, runner, capture)
+    with pytest.raises(Captured) as exc_info:
+        main(argv)
+    assert exc_info.value.args == (expected,)
+
+
 def test_exit_code_bad_flags():
     with pytest.raises(SystemExit) as exc_info:
         main(["sinc", "--nodes", "not-a-number"])
@@ -104,6 +157,14 @@ def test_exit_code_config_error(tmp_path):
     # zero trials
     code = main(["bench", "--csv", str(path), "--target", "label",
                  "--nodes", "5", "--trials", "0"])
+    assert code == 2
+    # more nodes than sinc training points, or than a sweep's split
+    # leaves for training (15 of 20 rows)
+    code = main(["sinc", "--nodes", "300", "--n-train", "200"])
+    assert code == 2
+    small = write_toy_csv(tmp_path / "small.csv", n_per_class=10)
+    code = main(["sweep", "--csv", str(small), "--target", "label",
+                 "--task", "cls", "--nodes-sweep", "30"])
     assert code == 2
 
 

@@ -131,6 +131,9 @@ def test_numerical_rank():
     assert numerical_rank(np.zeros((3, 2))) == 0
     a = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     assert numerical_rank(a) == 1
+    # the same cutoff rules as pinv_svd
+    with pytest.raises(PreconditionError):
+        numerical_rank(np.ones((4, 3)), tol=-1.0)
 
 
 def test_inputs_validated():

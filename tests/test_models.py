@@ -149,6 +149,20 @@ def test_train_eelm_duplicate_anchors_rejected():
         train_eelm(dup1d, 3, anchor_strategy="first")
 
 
+@pytest.mark.parametrize("inputs", [
+    [[1.0], [2.0], [1.0]],                        # duplicate, d = 1
+    [[1.0, 2.0], [3.0, 1.0], [1.0, 2.0]],         # duplicate, d = 2
+    [[1.0, 0.0, 2.0, 5.0], [4.0, 1.0, 1.0, 0.5],
+     [4.0, 1.0, 1.0, 0.5], [3.0, 3.0, 3.0, 3.0]],  # duplicate, d = 4
+    [[1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [2.0, 1.0, 1.0]],  # all-zero, d = 3
+])
+def test_select_hidden_layer_rejects_degenerate_anchors(inputs):
+    x = np.array(inputs)
+    for strategy in ("first", "random", "even"):
+        with pytest.raises(PreconditionError):
+            select_hidden_layer(x, x.shape[0], anchor_strategy=strategy)
+
+
 def test_train_eelm_multi_output_classification():
     rng = np.random.default_rng(8)
     inputs = np.vstack([rng.normal(-2, 0.5, (20, 2)),

@@ -138,6 +138,38 @@ def test_build_embedding_validation():
         build_embedding(np.ones(4))
 
 
+def test_build_embedding_validation_matches_invlex_compare():
+    # integer data with many ties: every verdict on a pair of adjacent
+    # rows (sorted, duplicate, descending) and every zero row must be
+    # told apart exactly as a row-by-row reference does
+    rng = np.random.default_rng(31)
+    for _ in range(500):
+        n = int(rng.integers(2, 12))
+        d = int(rng.integers(2, 5))
+        x = rng.integers(0, 3, (n, d)).astype(float)
+        if rng.random() < 0.5:
+            x = np.unique(x, axis=0)
+        if rng.random() < 0.7:
+            x = x[np.lexsort(x.T)]
+        if len(x) < 2:
+            continue
+        verdicts = [invlex_compare(a, b) for a, b in zip(x[:-1], x[1:])]
+        if (x == 0.0).all(axis=1).any():
+            expected = "all-zero"
+        elif 0 in verdicts:
+            expected = "duplicates"
+        elif 1 in verdicts:
+            expected = "not sorted"
+        else:
+            expected = None
+        if expected is None:
+            emb = build_embedding(x)
+            assert (np.diff(x @ emb.weights) > 0).all()
+        else:
+            with pytest.raises(PreconditionError, match=expected):
+                build_embedding(x)
+
+
 def test_build_embedding_overflow_names_attribute():
     # relative gaps of 1e-200 need decimal shifts of ~200 digits per
     # attribute; the second attribute already exceeds float64 range
