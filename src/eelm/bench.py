@@ -188,39 +188,42 @@ def _finish(report: dict, config: ExperimentConfig) -> dict:
     return report
 
 
-def _run_trials(config: ExperimentConfig, nodes: int, source,
+def _run_trials(config: ExperimentConfig, node_counts, source,
                 once=frozenset()):
-    """Every trial of every configured algorithm at one node count.
+    """Every trial of every configured algorithm at each node count.
 
     ``source(trial_seed)`` gives the (train, test) pair of a trial.
     Algorithms in ``once`` are deterministic given the data and the
     anchor seed, so they run on the first trial only. A node count
     above the training side is a configuration error, not a failure of
-    each trial. Returns the report section of each algorithm and the
-    first model each one fitted.
+    each trial, so every count is checked before the first fit. Returns
+    per node count each algorithm's section and first fitted model.
     """
-    records = {algo: [] for algo in config.algorithms}
-    models: dict[str, object] = {}
-    for i in range(config.trials):
-        trial_seed = config.seed + i
-        train_ds, test_ds = source(trial_seed)
-        if i == 0:
-            if nodes > train_ds.n_samples:
-                raise PreconditionError(
-                    f"nodes={nodes} exceeds the {train_ds.n_samples} "
-                    f"training samples")
-            metric_name, metric_fn = _metric_for(train_ds.task)
-        for algo in config.algorithms:
-            if i > 0 and algo in once:
-                continue
-            record, model = _run_trial(algo, train_ds, test_ds, nodes, i,
-                                       trial_seed, config, metric_fn)
-            records[algo].append(record)
-            if model is not None:
-                models.setdefault(algo, model)
-    sections = {algo: _algo_section(recs, metric_name)
-                for algo, recs in records.items()}
-    return sections, models
+    results = []
+    for nodes in node_counts:
+        records = {algo: [] for algo in config.algorithms}
+        models: dict[str, object] = {}
+        for i in range(config.trials):
+            trial_seed = config.seed + i
+            train_ds, test_ds = source(trial_seed)
+            if not results and i == 0:
+                largest = max(node_counts)
+                if largest > train_ds.n_samples:
+                    raise PreconditionError(
+                        f"nodes={largest} exceeds the {train_ds.n_samples} "
+                        f"training samples")
+                metric_name, metric_fn = _metric_for(train_ds.task)
+            for algo in config.algorithms:
+                if i > 0 and algo in once:
+                    continue
+                record, model = _run_trial(algo, train_ds, test_ds, nodes, i,
+                                           trial_seed, config, metric_fn)
+                records[algo].append(record)
+                if model is not None:
+                    models.setdefault(algo, model)
+        results.append(({algo: _algo_section(recs, metric_name)
+                         for algo, recs in records.items()}, models))
+    return results
 
 
 def _sinc_data(config: ExperimentConfig, seed: int):
@@ -238,8 +241,8 @@ def run_sinc(config: ExperimentConfig) -> dict:
     # one data set for every trial: only the random layer varies
     train_ds, test_ds = _sinc_data(config, config.seed)
     report = _base_report("sinc", config, REGRESSION)
-    report["algorithms"], models = _run_trials(
-        config, config.nodes, lambda seed: (train_ds, test_ds),
+    [(report["algorithms"], models)] = _run_trials(
+        config, (config.nodes,), lambda seed: (train_ds, test_ds),
         once={"eelm"})
     if config.plot_path:
         _write_sinc_plot(config.plot_path, train_ds, test_ds, models)
@@ -284,8 +287,24 @@ def run_dataset(config: ExperimentConfig) -> dict:
     report = _base_report("dataset", config, data.task)
     report["dataset"] = {"name": data.name, "n_samples": data.n_samples,
                          "n_features": data.n_features, "task": data.task}
-    report["algorithms"], _ = _run_trials(config, config.nodes, source)
+    [(report["algorithms"], _)] = _run_trials(config, (config.nodes,), source)
     return _finish(report, config)
+
+
+_SINC_FIELDS = ("n_train", "n_test", "noise_sigma", "test_distribution")
+_CSV_FIELDS = ("split_fraction", "csv_schema")
+
+
+def _check_unused_source(config: ExperimentConfig) -> None:
+    """A sweep reads the CSV when ``csv_path`` is set and sinc otherwise;
+    the report would record, unused, the other source's settings."""
+    csv_sweep = config.csv_path is not None
+    changed = [name for name in (_SINC_FIELDS if csv_sweep else _CSV_FIELDS)
+               if getattr(config, name) != getattr(ExperimentConfig, name)]
+    if changed:
+        source = "a CSV" if csv_sweep else "sinc"
+        raise PreconditionError(
+            f"a sweep over {source} does not use {', '.join(changed)}")
 
 
 def run_node_sweep(config: ExperimentConfig) -> dict:
@@ -293,6 +312,7 @@ def run_node_sweep(config: ExperimentConfig) -> dict:
     config.validate()
     if not config.node_sweep:
         raise PreconditionError("sweep experiment needs a node_sweep list")
+    _check_unused_source(config)
     if config.csv_path is not None:
         data, source = _csv_source(config)
         task = data.task
@@ -300,9 +320,9 @@ def run_node_sweep(config: ExperimentConfig) -> dict:
         task, source = REGRESSION, functools.partial(_sinc_data, config)
     report = _base_report("sweep", config, task)
     del report["algorithms"]
-    report["sweep"] = [{"nodes": nodes,
-                        "algorithms": _run_trials(config, nodes, source)[0]}
-                       for nodes in config.node_sweep]
+    results = _run_trials(config, config.node_sweep, source)
+    report["sweep"] = [{"nodes": n, "algorithms": sections}
+                       for n, (sections, _) in zip(config.node_sweep, results)]
     if config.plot_path:
         _write_sweep_plot(config.plot_path, report, config)
     return _finish(report, config)

@@ -30,6 +30,7 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 _TASKS = {"reg": REGRESSION, "cls": CLASSIFICATION}
+_DEFAULT_TASK = "reg"
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -76,7 +77,8 @@ def _add_csv_source(parser: argparse.ArgumentParser, required: bool) -> None:
     parser.add_argument("--target", metavar="COL", action="append",
                         help="target column name (repeatable for "
                              "multi-output regression)")
-    parser.add_argument("--task", choices=("reg", "cls"), default="reg",
+    parser.add_argument("--task", choices=("reg", "cls"),
+                        default=_DEFAULT_TASK,
                         help="regression or classification")
 
 
@@ -190,6 +192,11 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    # only these two never reach the config that run_node_sweep checks
+    if args.csv_path is None and (args.target is not None
+                                  or args.task != _DEFAULT_TASK):
+        raise PreconditionError(
+            "--target and --task apply only to a sweep over --csv")
     try:
         sweep = tuple(int(tok) for tok in args.nodes_sweep.split(",") if tok)
     except ValueError:

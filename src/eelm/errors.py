@@ -25,10 +25,9 @@ class NumericalFailure(RuntimeError):
 class RankDeficientError(ArithmeticError):
     """The Gram matrix is not numerically positive definite.
 
-    ``pivot`` is the zero-based index of the Cholesky pivot that failed;
-    when LAPACK refused a matrix whose scalar factorization still
-    passes, it is the pivot with the smallest fraction of its diagonal
-    left.
+    ``pivot`` is the zero-based index of the Cholesky pivot that failed:
+    where LAPACK refused the matrix, or, when LAPACK factored it, the
+    pivot with the smallest fraction of its diagonal left.
     """
 
     def __init__(self, message: str, pivot: int):

@@ -12,9 +12,9 @@ to the Moore-Penrose generalized inverse are provided:
   against the identity (one right-hand side per column of ``A``, i.e.
   per hidden node, not per sample), and ``(L⁻ᵀL⁻¹)Aᵀ`` is one matrix
   product. It requires full column rank and fails loudly
-  (never regularizes) when that is violated; a scalar Cholesky scan
-  reruns only after LAPACK has refused the Gram matrix, to name the
-  failing pivot.
+  (never regularizes) when that is violated. LAPACK's Cholesky is the
+  only factorization: the rank certificate is read off its factor, and
+  a refused Gram matrix is located by the same call on leading blocks.
 
 Keeping both paths separate matters: the training code uses the normal-
 equation route precisely because the constructive weight selection
@@ -24,7 +24,6 @@ rank problem would hide a violation of that guarantee.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +40,11 @@ __all__ = [
 ]
 
 
-def as_matrix(a, name: str = "matrix", allow_nonfinite: bool = False) -> np.ndarray:
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and convert ``a`` to a 2-D float64 array.
 
     Raises ShapeError for wrong dimensionality or empty axes and
-    PreconditionError for NaN/Inf entries (unless ``allow_nonfinite``).
+    PreconditionError for NaN/Inf entries.
     """
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
@@ -53,7 +52,7 @@ def as_matrix(a, name: str = "matrix", allow_nonfinite: bool = False) -> np.ndar
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ShapeError(f"{name} must have at least one row and column, "
                          f"got shape {arr.shape}")
-    if not allow_nonfinite and not np.isfinite(arr).all():
+    if not np.isfinite(arr).all():
         raise PreconditionError(f"{name} contains non-finite entries")
     return arr
 
@@ -92,54 +91,54 @@ def numerical_rank(a, tol: float | None = None) -> int:
     return _pinv_svd_rank(a, tol)[1]
 
 
-def _rank_deficiency(g: np.ndarray) -> RankDeficientError:
-    """The error naming the Cholesky pivot at which ``g`` fails.
-
-    A scalar scan of the factorization, run only after LAPACK refused
-    ``g``. It names the first non-positive (or non-finite) pivot. When
-    LAPACK failed at the rounding edge but every pivot of the scan is
-    positive, it names the pivot ``j`` with the smallest ``s_j / g_jj``
-    (the pivot's value over its diagonal entry) instead.
-    """
-    n = g.shape[0]
-    low = np.zeros_like(g)
-    ratios = np.empty(n)
-    for j in range(n):
-        s = g[j, j] - low[j, :j] @ low[j, :j]
-        if not (s > 0.0 and math.isfinite(s)):
-            return RankDeficientError(
-                f"Gram matrix is not positive definite at pivot {j} "
-                f"(leading minor of order {j + 1})", pivot=j)
-        ratios[j] = s / g[j, j]
-        low[j, j] = math.sqrt(s)
-        if j + 1 < n:
-            low[j + 1:, j] = (g[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
-    j = int(np.argmin(ratios))
-    return RankDeficientError(
-        f"Gram matrix is not numerically positive definite: LAPACK's "
-        f"Cholesky failed; weakest pivot {j} has {ratios[j]:.3g} of its "
-        f"diagonal left", pivot=j)
+def _cholesky(g: np.ndarray, bound: float) -> np.ndarray | None:
+    """LAPACK's lower Cholesky factor ``L`` of ``g`` if it certifies full
+    rank: None when LAPACK refuses ``g``, lets an infinite or NaN pivot
+    through, or leaves a pivot ratio ``L_jj² / g_jj`` at most ``bound``."""
+    try:
+        low = np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return None
+    certified = (np.isfinite(low).all()
+                 and (np.diag(low) ** 2 / np.diag(g)).min() > bound)
+    return low if certified else None
 
 
 def pinv_normal(a) -> np.ndarray:
     """Pseudoinverse of a full-column-rank matrix via the Gram system.
 
     Computes ``(AᵀA)⁻¹Aᵀ``: LAPACK's Cholesky factors the Gram matrix
-    ``AᵀA = LLᵀ``, one solve against the identity gives ``L⁻¹`` (as many
-    right-hand sides as ``A`` has columns), and the result is the single
-    product ``(L⁻ᵀL⁻¹) @ Aᵀ``. Raises RankDeficientError when the Gram
-    matrix is not numerically positive definite; only then does a
-    scalar rerun of the factorization run, to name the failing pivot.
+    ``G = AᵀA = LLᵀ``, one solve against the identity gives ``L⁻¹`` (as
+    many right-hand sides as ``A`` has columns), and the result is the
+    single product ``(L⁻ᵀL⁻¹) @ Aᵀ``.
+
+    The factor certifies full rank when every pivot ratio ``L_jj² / G_jj``
+    (the share of column ``j``'s squared norm left after projecting out
+    the columns before it) exceeds ``rows * eps``, the rounding of the
+    ``rows``-long inner products that form ``G`` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 3 and 10). Otherwise, or when
+    LAPACK refuses ``G``, RankDeficientError names pivot ``j``: ``j + 1``
+    is the order of the smallest leading block of ``G`` that fails the
+    same test, found by bisection.
     """
     a = as_matrix(a, "pinv_normal input")
     gram = a.T @ a
-    try:
-        low = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        low = None
-    # LAPACK lets an infinite or NaN pivot through; the scan rejects it
-    if low is None or not np.isfinite(low).all():
-        raise _rank_deficiency(gram)
+    bound = a.shape[0] * np.finfo(np.float64).eps
+    low = _cholesky(gram, bound)
+    if low is None:
+        # the leading block of order `passes` is certified, that of order
+        # `fails` is not (failure is monotone in exact arithmetic)
+        passes, fails = 0, gram.shape[0]
+        while fails - passes > 1:
+            mid = (passes + fails) // 2
+            if _cholesky(gram[:mid, :mid], bound) is None:
+                fails = mid
+            else:
+                passes = mid
+        raise RankDeficientError(
+            f"Gram matrix is not numerically positive definite at pivot "
+            f"{fails - 1}: LAPACK refuses it or leaves at most rows * eps "
+            f"of its diagonal", pivot=fails - 1)
     # free each square temporary once used, so none is still held while
     # the (columns x rows) result is allocated
     del gram

@@ -1,6 +1,7 @@
 """Training algorithms for single-hidden-layer networks.
 
-Two ways to obtain a model ``G(x) = sum_i beta_i * g(W_i . x + b_i)``:
+Two ways to obtain a model ``G(x) = sum_i beta_i * g(W_i . x + b_i)``,
+where ``g`` is the Gaussian ``exp(-z^2)`` (:func:`selection.gaussian`):
 
 * :func:`train_elm` draws hidden weights and biases uniformly at random
   from [-1, 1] and solves for the output weights with the SVD
@@ -26,7 +27,7 @@ from .datasets import CLASSIFICATION, Dataset, classification_rate, rmse
 from .errors import (FormatError, NumericOverflowError, PreconditionError,
                      ShapeError)
 from .ordering import _sorted_weights, invlex_sort_indices
-from .selection import GAUSSIAN_RBF, Activation, select_weights
+from .selection import gaussian, select_weights
 
 __all__ = ["SlfnModel", "TrainReport", "build_hidden_matrix", "train_elm",
            "train_eelm", "select_hidden_layer", "predict", "save_model",
@@ -35,6 +36,9 @@ __all__ = ["SlfnModel", "TrainReport", "build_hidden_matrix", "train_elm",
 ANCHOR_STRATEGIES = ("first", "random", "even")
 
 MODEL_FORMAT = "slfn-model/1"
+
+# the one activation, named in every model file
+ACTIVATION_TAG = "gaussian-rbf"
 
 # Cells of H that predict builds at once. A block is a multiple of 64
 # rows, at least 64, and at most this many cells when the nodes allow:
@@ -53,7 +57,6 @@ class SlfnModel:
     node_weights: np.ndarray   # (n_hidden, input_dim)
     biases: np.ndarray         # (n_hidden,)
     output_weights: np.ndarray  # (n_hidden, output_dim)
-    activation: Activation
     provenance: str            # "elm" or "eelm"
     seed: int | None = None
 
@@ -97,9 +100,8 @@ class TrainReport:
     train_metric: float
 
 
-def build_hidden_matrix(node_weights, biases, inputs,
-                        act: Activation = GAUSSIAN_RBF) -> np.ndarray:
-    """Activation matrix H with H[i, k] = g(W_k . x_i + b_k)."""
+def build_hidden_matrix(node_weights, biases, inputs) -> np.ndarray:
+    """Activation matrix H with H[i, k] = gaussian(W_k . x_i + b_k)."""
     nw = np.asarray(node_weights, dtype=np.float64)
     b = np.asarray(biases, dtype=np.float64).ravel()
     x = np.asarray(inputs, dtype=np.float64)
@@ -114,7 +116,7 @@ def build_hidden_matrix(node_weights, biases, inputs,
         z = x @ nw.T + b
     if not np.isfinite(z).all():
         raise NumericOverflowError("hidden-node pre-activations overflowed")
-    return act.apply(z)
+    return gaussian(z)
 
 
 def _train_metric(data: Dataset, fitted: np.ndarray) -> float:
@@ -123,8 +125,7 @@ def _train_metric(data: Dataset, fitted: np.ndarray) -> float:
     return rmse(fitted, data.targets)
 
 
-def train_elm(data: Dataset, n_hidden: int, act: Activation = GAUSSIAN_RBF,
-              seed: int = 0):
+def train_elm(data: Dataset, n_hidden: int, seed: int = 0):
     """Random hidden layer, output weights by SVD pseudoinverse.
 
     Weights and biases are i.i.d. uniform on [-1, 1] under ``seed``; the
@@ -136,13 +137,13 @@ def train_elm(data: Dataset, n_hidden: int, act: Activation = GAUSSIAN_RBF,
     rng = np.random.default_rng(seed)
     node_weights = rng.uniform(-1.0, 1.0, (n_hidden, data.n_features))
     biases = rng.uniform(-1.0, 1.0, n_hidden)
-    h = build_hidden_matrix(node_weights, biases, data.inputs, act)
+    h = build_hidden_matrix(node_weights, biases, data.inputs)
     pinv, rank = linalg._pinv_svd_rank(h)
     beta = pinv @ data.targets
     rank_ok = rank == n_hidden
     train_seconds = time.perf_counter() - t0
     model = SlfnModel(data.n_features, data.n_outputs, n_hidden, node_weights,
-                      biases, beta, act, "elm", seed=seed)
+                      biases, beta, "elm", seed=seed)
     report = TrainReport(train_seconds=train_seconds, select_seconds=0.0,
                          hidden_matrix_rank_ok=rank_ok, pinv_path="svd",
                          train_metric=_train_metric(data, h @ beta))
@@ -175,7 +176,7 @@ def _choose_anchors(n: int, n_hidden: int, strategy: str, seed: int,
 
 
 def select_hidden_layer(inputs, n_hidden: int, anchor_strategy: str = "random",
-                        seed: int = 0, act: Activation = GAUSSIAN_RBF):
+                        seed: int = 0):
     """Phase one of the constructive training, as a reusable step.
 
     Picks ``n_hidden`` anchor rows of ``inputs``, sorts them (inverse-lex
@@ -191,12 +192,11 @@ def select_hidden_layer(inputs, n_hidden: int, anchor_strategy: str = "random",
     # row that would dominate the O(n_hidden * dim) work for small dim
     anchors = np.take(x, idx, axis=0)
     anchors = np.take(anchors, invlex_sort_indices(anchors), axis=0)
-    return select_weights(anchors, _sorted_weights(anchors), act)
+    return select_weights(anchors, _sorted_weights(anchors))
 
 
 def train_eelm(data: Dataset, n_hidden: int, anchor_strategy: str = "random",
-               seed: int = 0, act: Activation = GAUSSIAN_RBF,
-               force_svd: bool = False):
+               seed: int = 0, force_svd: bool = False):
     """Constructive hidden layer, output weights by orthogonal projection.
 
     Phase one (:func:`select_hidden_layer`) picks ``n_hidden`` anchor
@@ -204,10 +204,10 @@ def train_eelm(data: Dataset, n_hidden: int, anchor_strategy: str = "random",
     projections, and selects gains and biases that make the anchor rows
     of the hidden matrix strictly diagonally dominant. Phase two solves
     the least-squares system over all samples through the Gram matrix,
-    which the construction guarantees to be positive definite (a
-    RankDeficientError out of this path means that guarantee was
-    violated and is allowed to propagate). ``force_svd`` switches phase
-    two to the SVD path for cross-checking; it is never the default.
+    which the construction makes positive definite; its Cholesky factor
+    certifies that in float64 (:func:`linalg.pinv_normal`), or the
+    RankDeficientError propagates. ``force_svd`` switches phase two to
+    the SVD path for cross-checking; it is never the default.
 
     Returns ``(SlfnModel, TrainReport)``.
     """
@@ -216,10 +216,10 @@ def train_eelm(data: Dataset, n_hidden: int, anchor_strategy: str = "random",
     d = data.n_features
 
     t0 = time.perf_counter()
-    params = select_hidden_layer(inputs, n_hidden, anchor_strategy, seed, act)
+    params = select_hidden_layer(inputs, n_hidden, anchor_strategy, seed)
     select_seconds = time.perf_counter() - t0
 
-    h = build_hidden_matrix(params.node_weights, params.biases, inputs, act)
+    h = build_hidden_matrix(params.node_weights, params.biases, inputs)
     if force_svd:
         pinv, rank = linalg._pinv_svd_rank(h)
         beta = pinv @ targets
@@ -232,7 +232,7 @@ def train_eelm(data: Dataset, n_hidden: int, anchor_strategy: str = "random",
     train_seconds = time.perf_counter() - t0
 
     model = SlfnModel(d, data.n_outputs, n_hidden, params.node_weights,
-                      params.biases, beta, act, "eelm", seed=seed)
+                      params.biases, beta, "eelm", seed=seed)
     report = TrainReport(train_seconds=train_seconds,
                          select_seconds=select_seconds,
                          hidden_matrix_rank_ok=rank_ok, pinv_path=path,
@@ -263,7 +263,7 @@ def predict(model: SlfnModel, inputs) -> np.ndarray:
         # rows are computed exactly as one product over all of them
         stop = n if n - start < 2 * block else start + block
         h = build_hidden_matrix(model.node_weights, model.biases,
-                                x[start:stop], model.activation)
+                                x[start:stop])
         np.matmul(h, model.output_weights, out=out[start:stop])
         start = stop
     return out
@@ -279,7 +279,7 @@ def save_model(model: SlfnModel, path) -> None:
         MODEL_FORMAT,
         f"provenance {model.provenance}",
         f"seed {'none' if model.seed is None else model.seed}",
-        f"activation {model.activation.tag}",
+        f"activation {ACTIVATION_TAG}",
         f"input_dim {model.input_dim}",
         f"output_dim {model.output_dim}",
         f"n_hidden {model.n_hidden}",
@@ -367,6 +367,10 @@ def load_model(path) -> SlfnModel:
     provenance = _parse_keyed(reader, "provenance")
     seed_text = _parse_keyed(reader, "seed")
     act_tag = _parse_keyed(reader, "activation")
+    if act_tag != ACTIVATION_TAG:
+        raise FormatError(f"unknown activation tag {act_tag!r}; expected "
+                          f"{ACTIVATION_TAG!r}", path=reader.path,
+                          offset=reader.offset)
 
     def _int_field(key: str) -> int:
         text = _parse_keyed(reader, key)
@@ -410,13 +414,8 @@ def load_model(path) -> SlfnModel:
                                for _ in range(n0)])
     _section("end")
     try:
-        activation = Activation(tag=act_tag)
-    except PreconditionError as exc:
-        raise FormatError(str(exc), path=reader.path,
-                          offset=reader.offset) from None
-    try:
         return SlfnModel(d, m, n0, node_weights, biases, output_weights,
-                         activation, provenance, seed=seed)
+                         provenance, seed=seed)
     except (ShapeError, PreconditionError) as exc:
         raise FormatError(f"inconsistent model fields: {exc}",
                           path=reader.path) from None

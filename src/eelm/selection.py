@@ -3,12 +3,12 @@
 Given anchor samples whose embedding projections are strictly
 increasing, each hidden node is assigned a gain ``k_i`` large enough
 that, measured in the node's own pre-activation units, every other
-anchor lands at distance >= 2*dist from the node's peak. With a
-single-peak activation that vanishes at infinity this pushes every
-off-diagonal entry of the anchor activation matrix below M/n0^2 while
-the bias construction pins each diagonal entry at the peak value M, so
-the matrix is strictly diagonally dominant (in the strong, whole-matrix
-sense) and therefore nonsingular.
+anchor lands at distance >= 2*dist from the node's peak. The Gaussian
+activation ``exp(-z^2)`` peaks at 1 at 0 and vanishes at infinity, so
+this pushes every off-diagonal entry of the anchor activation matrix
+below 1/n0^2 while the bias construction pins each diagonal entry at
+the peak: the matrix is strictly diagonally dominant (in the strong,
+whole-matrix sense) and therefore nonsingular.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import NumericOverflowError, PreconditionError, ShapeError
 
-__all__ = ["Activation", "GAUSSIAN_RBF", "cutoff_radius", "SelectionParams",
-           "select_weights", "row_dot"]
+__all__ = ["gaussian", "cutoff_radius", "SelectionParams", "select_weights",
+           "row_dot"]
 
 
 def row_dot(a, b) -> np.ndarray:
@@ -38,44 +38,19 @@ def row_dot(a, b) -> np.ndarray:
                          f"and {b.shape}")
     return np.einsum("ij,ij->i", a, b)
 
-_KNOWN_TAGS = ("gaussian-rbf",)
 
-
-@dataclass(frozen=True)
-class Activation:
-    """A positive single-peak activation vanishing at +-infinity.
-
-    Only the Gaussian radial basis function ``g(x) = exp(-x^2)`` is
-    built in (peak value 1 at 0); the tag leaves room for other members
-    of the same class without changing any signatures. Sigmoids are not
-    in this class and cannot be used here.
-    """
-
-    tag: str = "gaussian-rbf"
-    peak_value: float = 1.0
-    peak_location: float = 0.0
-
-    def __post_init__(self):
-        if self.tag not in _KNOWN_TAGS:
-            raise PreconditionError(f"unknown activation tag {self.tag!r}")
-        if self.tag == "gaussian-rbf" and (self.peak_value != 1.0
-                                           or self.peak_location != 0.0):
-            raise PreconditionError(
-                "gaussian-rbf has peak value 1 at location 0")
-
-    def apply(self, z):
-        z = np.asarray(z, dtype=np.float64)
-        return np.exp(-(z * z))
-
-
-GAUSSIAN_RBF = Activation()
+def gaussian(z) -> np.ndarray:
+    """The activation: the Gaussian radial basis function ``exp(-z^2)``,
+    with its peak value 1 at 0."""
+    z = np.asarray(z, dtype=np.float64)
+    return np.exp(-(z * z))
 
 
 def cutoff_radius(n_hidden: int) -> float:
-    """Radius a with g(x) < 1/n_hidden^2 for |x| > a (Gaussian peak inside).
+    """Radius a with gaussian(x) < 1/n_hidden^2 for |x| > a.
 
     Computed as ``max(sqrt(|2 ln n|), 1) + 1``; the +1 keeps the bound
-    strict and the peak location strictly inside (-a, a).
+    strict.
     """
     if n_hidden < 1:
         raise PreconditionError(f"need at least one hidden node, got {n_hidden}")
@@ -88,19 +63,19 @@ class SelectionParams:
 
     ``node_weights[i] == gains[i] * embedding_weights`` and
     ``biases[i]`` puts anchor i exactly at the activation peak:
-    ``g(node_weights[i] @ anchor_i + biases[i]) == peak_value``.
-    Boundary nodes reuse their neighbour's gain.
+    ``gaussian(node_weights[i] @ anchor_i + biases[i]) == 1``.
+    ``dist`` is the cutoff radius of ``n_hidden`` nodes. Boundary nodes
+    reuse their neighbour's gain.
     """
 
     n_hidden: int
-    cutoff: float
     dist: float
     gains: np.ndarray
     node_weights: np.ndarray
     biases: np.ndarray
 
 
-def select_weights(anchors, weights, act: Activation = GAUSSIAN_RBF) -> SelectionParams:
+def select_weights(anchors, weights) -> SelectionParams:
     """Select node weights/biases from projection-sorted anchor samples.
 
     ``anchors`` (n0 x d) must be ordered so that ``anchors @ weights``
@@ -128,9 +103,7 @@ def select_weights(anchors, weights, act: Activation = GAUSSIAN_RBF) -> Selectio
         raise PreconditionError(
             "anchor projections must be strictly increasing")
 
-    a = cutoff_radius(n0)
-    x0 = act.peak_location
-    dist = max(a - x0, a + x0)
+    dist = cutoff_radius(n0)
     gains = np.empty(n0)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if n0 == 1:
@@ -142,10 +115,11 @@ def select_weights(anchors, weights, act: Activation = GAUSSIAN_RBF) -> Selectio
             gains[0] = gains[1]
             gains[-1] = gains[-2]
         node_weights = gains[:, None] * w[None, :]
-        biases = x0 - row_dot(node_weights, x)
+        # the peak is at 0; 0.0 - v, unlike -v, gives a zero bias as +0.0
+        biases = 0.0 - row_dot(node_weights, x)
     if not (np.isfinite(gains).all() and np.isfinite(node_weights).all()
             and np.isfinite(biases).all()):
         raise NumericOverflowError(
             "selection overflowed float64 (nearly duplicate projections?)")
-    return SelectionParams(n_hidden=n0, cutoff=a, dist=dist, gains=gains,
+    return SelectionParams(n_hidden=n0, dist=dist, gains=gains,
                            node_weights=node_weights, biases=biases)

@@ -7,10 +7,12 @@ import json
 import numpy as np
 import pytest
 
+from eelm import bench
 from eelm.bench import (ExperimentConfig, report_all_failed, run_dataset,
                         run_node_sweep, run_sinc, validate_report)
 from eelm.datasets import CLASSIFICATION, CsvSchema, split
 from eelm.errors import FormatError, PreconditionError
+from eelm.models import train_elm
 
 
 def write_toy_csv(path, n_per_class=20, seed=0):
@@ -174,6 +176,41 @@ def test_csv_sweep_of_one_node_count_is_the_dataset_run(tmp_path):
     sweep = run_node_sweep(config)
     assert (without_timings(sweep["sweep"][0]["algorithms"])
             == without_timings(dataset["algorithms"]))
+
+
+def test_sweep_checks_every_node_count_before_any_fit(monkeypatch):
+    fits = []
+
+    def counting_elm(*args, **kwargs):
+        fits.append(args)
+        return train_elm(*args, **kwargs)
+    monkeypatch.setattr(bench, "train_elm", counting_elm)
+    config = ExperimentConfig(node_sweep=(50, 100, 150, 300), trials=20,
+                              n_train=200, n_test=20)
+    with pytest.raises(PreconditionError, match="nodes=300"):
+        run_node_sweep(config)
+    assert fits == []
+
+
+@pytest.mark.parametrize("fields", [
+    {"n_train": 999}, {"n_test": 9}, {"noise_sigma": 5.0},
+    {"test_distribution": "normal"},
+])
+def test_csv_sweep_rejects_sinc_settings(tmp_path, fields):
+    path = write_toy_csv(tmp_path / "toy.csv")
+    config = ExperimentConfig(node_sweep=(4,), csv_path=str(path),
+                              csv_schema=CsvSchema(target="label"), **fields)
+    with pytest.raises(PreconditionError, match=next(iter(fields))):
+        run_node_sweep(config)
+
+
+@pytest.mark.parametrize("fields", [
+    {"split_fraction": 0.1}, {"csv_schema": CsvSchema(target="y")},
+])
+def test_sinc_sweep_rejects_csv_settings(fields):
+    config = ExperimentConfig(node_sweep=(4,), n_train=10, n_test=5, **fields)
+    with pytest.raises(PreconditionError, match=next(iter(fields))):
+        run_node_sweep(config)
 
 
 def test_eelm_failures_are_counted_not_hidden(tmp_path):

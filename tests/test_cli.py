@@ -168,6 +168,28 @@ def test_exit_code_config_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--n-train", "999"], ["--n-test", "9"], ["--noise", "5"],
+    ["--test-dist", "normal"],
+])
+def test_csv_sweep_rejects_sinc_flags(tmp_path, capsys, flags):
+    path = write_toy_csv(tmp_path / "toy.csv")
+    code = main(["sweep", "--csv", str(path), "--target", "label",
+                 "--nodes-sweep", "4", *flags])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--split", "0.1"], ["--target", "y"], ["--task", "cls"],
+])
+def test_sinc_sweep_rejects_csv_flags(capsys, flags):
+    code = main(["sweep", "--nodes-sweep", "4", "--n-train", "10",
+                 "--n-test", "5", *flags])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_exit_code_data_error(tmp_path):
     code = main(["bench", "--csv", str(tmp_path / "missing.csv"), "--target",
                  "y", "--nodes", "5"])

@@ -72,8 +72,9 @@ def test_pinv_normal_overflowing_gram_is_rank_deficient():
 
 
 def test_pinv_normal_lapack_failure_still_names_a_pivot(monkeypatch):
-    # LAPACK may refuse a Gram matrix at the rounding edge that the
-    # scalar scan still factors; the error must stay RankDeficientError
+    # the failing pivot is located with the same LAPACK call, so a
+    # refusal at every order still names a pivot in range and stays a
+    # RankDeficientError
     def refuse(g):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
 
@@ -83,6 +84,35 @@ def test_pinv_normal_lapack_failure_still_names_a_pivot(monkeypatch):
         pinv_normal(a)
     pivot = exc_info.value.pivot
     assert isinstance(pivot, int) and 0 <= pivot < 4
+
+
+def test_pinv_normal_refuses_every_dependent_sum_column():
+    # the third column is the sum of the first two; rounding leaves the
+    # last pivot tiny but often positive, so LAPACK alone may factor it
+    # and only the pivot-ratio bound refuses it
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        c = rng.uniform(-1.0, 1.0, (20, 2))
+        a = np.column_stack([c, c[:, 0] + c[:, 1]])
+        with pytest.raises(RankDeficientError) as exc_info:
+            pinv_normal(a)
+        assert type(exc_info.value.pivot) is int
+        assert exc_info.value.pivot == 2
+
+
+def test_pinv_normal_names_the_first_dependent_column():
+    # every column from j on is a multiple of column 0; the pivot is
+    # located by bisection over leading blocks, whether LAPACK refuses
+    # the Gram matrix or leaves pivot j a tiny positive remainder
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        k = int(rng.integers(2, 30))
+        a = rng.uniform(-1.0, 1.0, (k + int(rng.integers(0, 40)), k))
+        j = int(rng.integers(1, k))
+        a[:, j:] = a[:, :1] * rng.uniform(-1.0, 1.0, k - j)
+        with pytest.raises(RankDeficientError) as exc_info:
+            pinv_normal(a)
+        assert exc_info.value.pivot == j
 
 
 def test_pinv_agreement_on_random_full_rank():

@@ -9,9 +9,9 @@ from eelm.errors import (FormatError, NumericOverflowError, PreconditionError,
 from eelm.linalg import (numerical_rank, pinv_normal, pinv_svd,
                          strict_dominance_report)
 from eelm import models
-from eelm.models import (GAUSSIAN_RBF, PREDICT_BLOCK_CELLS, SlfnModel,
-                         build_hidden_matrix, load_model, predict, save_model,
-                         select_hidden_layer, train_eelm, train_elm)
+from eelm.models import (PREDICT_BLOCK_CELLS, SlfnModel, build_hidden_matrix,
+                         load_model, predict, save_model, select_hidden_layer,
+                         train_eelm, train_elm)
 
 
 def regression_data(rng, n, d, m=1, name="toy"):
@@ -245,7 +245,7 @@ def test_pinv_normal_at_blocked_lapack_sizes():
 
 def test_predict_zero_weights():
     model = SlfnModel(2, 1, 3, np.zeros((3, 2)), np.zeros(3),
-                      np.zeros((3, 1)), GAUSSIAN_RBF, "elm", seed=0)
+                      np.zeros((3, 1)), "elm", seed=0)
     assert np.array_equal(predict(model, np.ones((4, 2))), np.zeros((4, 1)))
 
 
@@ -258,7 +258,7 @@ def test_predict_vanishes_far_from_training_range():
 
 def test_predict_validates_dimensions():
     model = SlfnModel(2, 1, 1, np.ones((1, 2)), np.zeros(1), np.ones((1, 1)),
-                      GAUSSIAN_RBF, "eelm")
+                      "eelm")
     with pytest.raises(ShapeError):
         predict(model, np.ones((3, 5)))
 
@@ -266,7 +266,7 @@ def test_predict_validates_dimensions():
 def _random_model(rng, n_hidden, d=3, m=2):
     return SlfnModel(d, m, n_hidden, rng.uniform(-1, 1, (n_hidden, d)),
                      rng.uniform(-1, 1, n_hidden),
-                     rng.normal(size=(n_hidden, m)), GAUSSIAN_RBF, "elm")
+                     rng.normal(size=(n_hidden, m)), "elm")
 
 
 def _block_rows(n_hidden):
@@ -294,9 +294,9 @@ def test_predict_builds_hidden_matrix_in_blocks(monkeypatch, n_hidden):
     h = build_hidden_matrix(model.node_weights, model.biases, x)
     seen = []
 
-    def counting(node_weights, biases, inputs, act=GAUSSIAN_RBF):
+    def counting(node_weights, biases, inputs):
         seen.append(len(inputs))
-        return build_hidden_matrix(node_weights, biases, inputs, act)
+        return build_hidden_matrix(node_weights, biases, inputs)
 
     monkeypatch.setattr(models, "build_hidden_matrix", counting)
     got = predict(model, x)
@@ -326,7 +326,6 @@ def test_model_roundtrip_bit_exact(tmp_path):
     assert loaded.n_hidden == model.n_hidden
     assert loaded.provenance == model.provenance
     assert loaded.seed == model.seed
-    assert loaded.activation == model.activation
     assert np.array_equal(loaded.node_weights, model.node_weights)
     assert np.array_equal(loaded.biases, model.biases)
     assert np.array_equal(loaded.output_weights, model.output_weights)
@@ -370,3 +369,21 @@ def test_model_file_bad_value_reports_offset(tmp_path):
     assert exc_info.value.offset is not None
     expected = sum(len(line) + 1 for line in lines[:weights_at])
     assert exc_info.value.offset == expected
+
+
+def test_model_file_unknown_activation_reports_offset(tmp_path):
+    rng = np.random.default_rng(12)
+    data = regression_data(rng, 10, 2)
+    model, _ = train_eelm(data, 3, seed=1)
+    path = tmp_path / "model.slfn"
+    save_model(model, path)
+    lines = path.read_text().splitlines()
+    tag_at = lines.index("activation gaussian-rbf")
+    lines[tag_at] = "activation sigmoid"
+    bad = tmp_path / "bad.slfn"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError) as exc_info:
+        load_model(bad)
+    assert "sigmoid" in str(exc_info.value)
+    assert exc_info.value.offset == sum(len(line) + 1
+                                        for line in lines[:tag_at])

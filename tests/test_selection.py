@@ -8,8 +8,7 @@ import pytest
 from eelm.errors import NumericOverflowError, PreconditionError, ShapeError
 from eelm.linalg import strict_dominance_report
 from eelm.ordering import embed_or_identity
-from eelm.selection import (GAUSSIAN_RBF, Activation, cutoff_radius,
-                            row_dot, select_weights)
+from eelm.selection import cutoff_radius, gaussian, row_dot, select_weights
 
 
 def sorted_by_projection(anchors, weights):
@@ -23,14 +22,10 @@ def anchor_matrix(params, anchors):
 
 
 def test_activation_gaussian():
-    assert GAUSSIAN_RBF.apply(0.0) == 1.0
+    assert gaussian(0.0) == 1.0
     z = np.linspace(-20, 20, 101)
-    g = GAUSSIAN_RBF.apply(z)
+    g = gaussian(z)
     assert (g > 0).all() and (g <= 1.0).all()
-    with pytest.raises(PreconditionError):
-        Activation(tag="sigmoid")
-    with pytest.raises(PreconditionError):
-        Activation(peak_value=2.0)
 
 
 def test_cutoff_radius_single_node():
