@@ -22,18 +22,20 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .datasets import CLASSIFICATION, REGRESSION, CsvSchema, Dataset, \
-    classification_rate, gen_sinc, load_csv, rmse, split
+from .datasets import METRICS, REGRESSION, CsvSchema, Dataset, gen_sinc, \
+    load_csv, split
 from .errors import (FormatError, NumericalFailure, NumericOverflowError,
                      PreconditionError, RankDeficientError)
-from .models import predict, train_eelm, train_elm
+from .models import (ALGORITHMS, ANCHOR_STRATEGIES, predict, train_eelm,
+                     train_elm)
 
 __all__ = ["REPORT_SCHEMA", "ExperimentConfig", "run_sinc", "run_dataset",
            "run_node_sweep", "validate_report", "report_all_failed"]
 
 REPORT_SCHEMA = "slfn-bench-report/1"
 
-ALGORITHMS = ("elm", "eelm")
+# whether a higher value is better, by the metric name a report gives
+_HIGHER_IS_BETTER = {name: higher for name, _, higher in METRICS.values()}
 
 # failures of a single trial are recorded, not fatal to the run
 _TRIAL_ERRORS = (NumericOverflowError, RankDeficientError, NumericalFailure,
@@ -50,7 +52,7 @@ _AGG_KEYS = ("train_metric", "test_metric", "train_seconds",
 class ExperimentConfig:
     """Knobs shared by the three experiment runners."""
 
-    algorithms: tuple[str, ...] = ("elm", "eelm")
+    algorithms: tuple[str, ...] = ALGORITHMS
     nodes: int | None = None
     node_sweep: tuple[int, ...] | None = None
     trials: int = 1
@@ -77,6 +79,10 @@ class ExperimentConfig:
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise PreconditionError(f"unknown algorithm {algo!r}")
+        if self.anchor_strategy not in ANCHOR_STRATEGIES:
+            raise PreconditionError(
+                f"unknown anchor strategy {self.anchor_strategy!r}; expected "
+                f"one of {ANCHOR_STRATEGIES}")
         if self.nodes is not None and self.nodes < 1:
             raise PreconditionError(f"nodes must be >= 1, got {self.nodes}")
         if self.node_sweep is not None:
@@ -96,12 +102,6 @@ def _environment() -> dict:
         "python": sys.version.split()[0],
         "numpy": np.__version__,
     }
-
-
-def _metric_for(task: str):
-    if task == CLASSIFICATION:
-        return "accuracy", classification_rate
-    return "rmse", rmse
 
 
 def _run_trial(algo: str, train_ds: Dataset, test_ds: Dataset, nodes: int,
@@ -146,7 +146,8 @@ def _aggregate(records: list[dict], metric_name: str) -> dict:
             "max": float(values.max()),
         }
         if key.endswith("_metric"):
-            agg["best"] = agg["max"] if metric_name == "accuracy" else agg["min"]
+            agg["best"] = agg["max"] if _HIGHER_IS_BETTER[metric_name] \
+                else agg["min"]
         out[key] = agg
     return out
 
@@ -174,7 +175,7 @@ def _base_report(experiment: str, config: ExperimentConfig,
         "experiment": experiment,
         "environment": _environment(),
         "config": _config_dict(config),
-        "metric": _metric_for(task)[0],
+        "metric": METRICS[task][0],
         "algorithms": {},
     }
 
@@ -192,38 +193,39 @@ def _run_trials(config: ExperimentConfig, node_counts, source,
                 once=frozenset()):
     """Every trial of every configured algorithm at each node count.
 
-    ``source(trial_seed)`` gives the (train, test) pair of a trial.
-    Algorithms in ``once`` are deterministic given the data and the
-    anchor seed, so they run on the first trial only. A node count
-    above the training side is a configuration error, not a failure of
-    each trial, so every count is checked before the first fit. Returns
-    per node count each algorithm's section and first fitted model.
+    ``source(trial_seed)`` gives the (train, test) pair of a trial,
+    drawn once and used for every node count. Algorithms in ``once``
+    are deterministic given the data and the anchor seed, so they run
+    on the first trial only. A node count above the training side is a
+    configuration error, not a failure of each trial, so every count is
+    checked before the first fit. Returns per node count each
+    algorithm's section and first fitted model.
     """
-    results = []
-    for nodes in node_counts:
-        records = {algo: [] for algo in config.algorithms}
-        models: dict[str, object] = {}
-        for i in range(config.trials):
-            trial_seed = config.seed + i
-            train_ds, test_ds = source(trial_seed)
-            if not results and i == 0:
-                largest = max(node_counts)
-                if largest > train_ds.n_samples:
-                    raise PreconditionError(
-                        f"nodes={largest} exceeds the {train_ds.n_samples} "
-                        f"training samples")
-                metric_name, metric_fn = _metric_for(train_ds.task)
+    # per node count: each algorithm's records, and its first model
+    results = [({algo: [] for algo in config.algorithms}, {})
+               for _ in node_counts]
+    for i in range(config.trials):
+        trial_seed = config.seed + i
+        train_ds, test_ds = source(trial_seed)
+        if i == 0:
+            largest = max(node_counts)
+            if largest > train_ds.n_samples:
+                raise PreconditionError(
+                    f"nodes={largest} exceeds the {train_ds.n_samples} "
+                    f"training samples")
+            metric_name, metric_fn, _ = METRICS[train_ds.task]
+        for nodes, (by_algo, fitted) in zip(node_counts, results):
             for algo in config.algorithms:
                 if i > 0 and algo in once:
                     continue
                 record, model = _run_trial(algo, train_ds, test_ds, nodes, i,
                                            trial_seed, config, metric_fn)
-                records[algo].append(record)
+                by_algo[algo].append(record)
                 if model is not None:
-                    models.setdefault(algo, model)
-        results.append(({algo: _algo_section(recs, metric_name)
-                         for algo, recs in records.items()}, models))
-    return results
+                    fitted.setdefault(algo, model)
+    return [({algo: _algo_section(recs, metric_name)
+              for algo, recs in by_algo.items()}, fitted)
+            for by_algo, fitted in results]
 
 
 def _sinc_data(config: ExperimentConfig, seed: int):
@@ -392,7 +394,7 @@ def validate_report(report: dict) -> None:
            "environment note incomplete")
     _check(isinstance(report.get("config"), dict), "config missing")
     metric_name = report.get("metric")
-    _check(metric_name in ("rmse", "accuracy"),
+    _check(metric_name in _HIGHER_IS_BETTER,
            f"unknown metric {metric_name!r}")
     if report["experiment"] == "sweep":
         sweep = report.get("sweep")

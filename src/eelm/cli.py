@@ -17,12 +17,12 @@ import sys
 
 from .bench import (ExperimentConfig, report_all_failed, run_dataset,
                     run_node_sweep, run_sinc)
-from .datasets import (CLASSIFICATION, REGRESSION, CsvSchema, _read_features,
-                       load_csv)
+from .datasets import (CLASSIFICATION, METRICS, REGRESSION, CsvSchema,
+                       _read_features, load_csv)
 from .errors import (FormatError, NumericalFailure, NumericOverflowError,
                      PreconditionError, RankDeficientError, ShapeError)
-from .models import (ANCHOR_STRATEGIES, load_model, predict, save_model,
-                     train_eelm, train_elm)
+from .models import (ALGORITHMS, ANCHOR_STRATEGIES, load_model, predict,
+                     save_model, train_eelm, train_elm)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,7 +43,7 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
 # Each experiment flag's dest is the ExperimentConfig field it sets
 # (see _config).
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--algo", choices=("elm", "eelm", "both"),
+    parser.add_argument("--algo", choices=(*ALGORITHMS, "both"),
                         default="both", help="which algorithm(s) to run")
     parser.add_argument("--trials", type=int, default=1,
                         help="number of seeded trials")
@@ -116,7 +116,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one model on a CSV and save it")
     p.add_argument("--nodes", type=int, required=True)
     _add_csv_source(p, required=True)
-    p.add_argument("--algo", choices=("elm", "eelm"), default="eelm")
+    p.add_argument("--algo", choices=ALGORITHMS, default="eelm")
     _add_model_flags(p)
     p.add_argument("--model-out", required=True, metavar="PATH")
     p.set_defaults(func=_cmd_train)
@@ -148,7 +148,7 @@ def _config(args, **fields) -> ExperimentConfig:
     given = {k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS}
     if given.get("csv_path"):
         given["csv_schema"] = _schema(args)
-    algorithms = ("elm", "eelm") if args.algo == "both" else (args.algo,)
+    algorithms = ALGORITHMS if args.algo == "both" else (args.algo,)
     return ExperimentConfig(algorithms=algorithms, **given, **fields)
 
 
@@ -215,7 +215,7 @@ def _cmd_train(args) -> int:
                                    anchor_strategy=args.anchor_strategy,
                                    seed=args.seed)
     save_model(model, args.model_out)
-    metric = "accuracy" if data.task == CLASSIFICATION else "rmse"
+    metric = METRICS[data.task][0]
     print(f"{args.algo}: trained {model.n_hidden} nodes on "
           f"{data.n_samples} samples in {report.train_seconds:.4g}s, "
           f"train {metric} {report.train_metric:.6g}; model -> "

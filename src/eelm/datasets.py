@@ -13,7 +13,7 @@ from .errors import FormatError, PreconditionError, ShapeError
 
 __all__ = [
     "REGRESSION", "CLASSIFICATION", "Dataset", "CsvSchema", "load_csv",
-    "sinc", "gen_sinc", "split", "rmse", "classification_rate",
+    "sinc", "gen_sinc", "split", "rmse", "classification_rate", "METRICS",
     "one_hot_encode", "one_hot_decode", "minmax_scale",
 ]
 
@@ -307,6 +307,15 @@ def classification_rate(pred, target) -> float:
     if p.ndim != 2 or p.shape[1] < 2:
         raise ShapeError("need score rows over at least two classes")
     return float(np.mean(p.argmax(axis=1) == t.argmax(axis=1)))
+
+
+# The one metric of each task, for training and testing alike: the name
+# a report gives it, the function of (predictions, targets), and
+# whether a higher value is better.
+METRICS = {
+    REGRESSION: ("rmse", rmse, False),
+    CLASSIFICATION: ("accuracy", classification_rate, True),
+}
 
 
 def minmax_scale(data: Dataset, low: float = -1.0, high: float = 1.0) -> Dataset:

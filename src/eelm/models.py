@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .datasets import CLASSIFICATION, Dataset, classification_rate, rmse
+from .datasets import METRICS, Dataset
 from .errors import (FormatError, NumericOverflowError, PreconditionError,
                      ShapeError)
 from .ordering import _sorted_weights, invlex_sort_indices
@@ -31,7 +31,9 @@ from .selection import gaussian, select_weights
 
 __all__ = ["SlfnModel", "TrainReport", "build_hidden_matrix", "train_elm",
            "train_eelm", "select_hidden_layer", "predict", "save_model",
-           "load_model", "ANCHOR_STRATEGIES"]
+           "load_model", "ALGORITHMS", "ANCHOR_STRATEGIES"]
+
+ALGORITHMS = ("elm", "eelm")
 
 ANCHOR_STRATEGIES = ("first", "random", "even")
 
@@ -57,7 +59,7 @@ class SlfnModel:
     node_weights: np.ndarray   # (n_hidden, input_dim)
     biases: np.ndarray         # (n_hidden,)
     output_weights: np.ndarray  # (n_hidden, output_dim)
-    provenance: str            # "elm" or "eelm"
+    provenance: str            # one of ALGORITHMS
     seed: int | None = None
 
     def __post_init__(self):
@@ -76,7 +78,7 @@ class SlfnModel:
                           (ow, "output_weights")):
             if not np.isfinite(arr).all():
                 raise PreconditionError(f"{what} contain non-finite values")
-        if self.provenance not in ("elm", "eelm"):
+        if self.provenance not in ALGORITHMS:
             raise PreconditionError(f"unknown provenance {self.provenance!r}")
         object.__setattr__(self, "node_weights", nw)
         object.__setattr__(self, "biases", b)
@@ -119,43 +121,56 @@ def build_hidden_matrix(node_weights, biases, inputs) -> np.ndarray:
     return gaussian(z)
 
 
-def _train_metric(data: Dataset, fitted: np.ndarray) -> float:
-    if data.task == CLASSIFICATION:
-        return classification_rate(fitted, data.targets)
-    return rmse(fitted, data.targets)
+def _check_train_args(n_hidden: int, n_samples: int) -> None:
+    if n_hidden < 1:
+        raise PreconditionError(f"need n_hidden >= 1, got {n_hidden}")
+    if n_hidden > n_samples:
+        raise PreconditionError(
+            f"n_hidden={n_hidden} exceeds the {n_samples} samples")
+
+
+def _fit_output_weights(data: Dataset, node_weights, biases, provenance: str,
+                        seed: int, svd: bool, t0: float,
+                        select_seconds: float = 0.0):
+    """Phase two, the same for both algorithms: H over the training
+    inputs, the output weights by the SVD pseudoinverse (``svd``) or by
+    the Gram system, then the model and its report. ``t0`` is when
+    training started."""
+    h = build_hidden_matrix(node_weights, biases, data.inputs)
+    n_hidden = h.shape[1]
+    if svd:
+        pinv, rank = linalg._pinv_svd_rank(h)
+        rank_ok = rank == n_hidden
+    else:
+        pinv = linalg.pinv_normal(h)
+        rank_ok = True  # the Cholesky factor just certified it
+    beta = pinv @ data.targets
+    train_seconds = time.perf_counter() - t0
+    model = SlfnModel(data.n_features, data.n_outputs, n_hidden, node_weights,
+                      biases, beta, provenance, seed=seed)
+    report = TrainReport(
+        train_seconds=train_seconds, select_seconds=select_seconds,
+        hidden_matrix_rank_ok=rank_ok,
+        pinv_path="svd" if svd else "orthogonal-projection",
+        train_metric=METRICS[data.task][1](h @ beta, data.targets))
+    return model, report
 
 
 def train_elm(data: Dataset, n_hidden: int, seed: int = 0):
     """Random hidden layer, output weights by SVD pseudoinverse.
 
     Weights and biases are i.i.d. uniform on [-1, 1] under ``seed``; the
-    same seed and data reproduce the model bit for bit. Returns
-    ``(SlfnModel, TrainReport)``.
+    same seed and data reproduce the model bit for bit. Only this draw
+    is ELM's own: the rest is the phase two :func:`train_eelm` shares.
+    Returns ``(SlfnModel, TrainReport)``.
     """
-    _check_train_args(data, n_hidden)
+    _check_train_args(n_hidden, data.n_samples)
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     node_weights = rng.uniform(-1.0, 1.0, (n_hidden, data.n_features))
     biases = rng.uniform(-1.0, 1.0, n_hidden)
-    h = build_hidden_matrix(node_weights, biases, data.inputs)
-    pinv, rank = linalg._pinv_svd_rank(h)
-    beta = pinv @ data.targets
-    rank_ok = rank == n_hidden
-    train_seconds = time.perf_counter() - t0
-    model = SlfnModel(data.n_features, data.n_outputs, n_hidden, node_weights,
-                      biases, beta, "elm", seed=seed)
-    report = TrainReport(train_seconds=train_seconds, select_seconds=0.0,
-                         hidden_matrix_rank_ok=rank_ok, pinv_path="svd",
-                         train_metric=_train_metric(data, h @ beta))
-    return model, report
-
-
-def _check_train_args(data: Dataset, n_hidden: int) -> None:
-    if n_hidden < 1:
-        raise PreconditionError(f"need n_hidden >= 1, got {n_hidden}")
-    if n_hidden > data.n_samples:
-        raise PreconditionError(
-            f"n_hidden={n_hidden} exceeds the {data.n_samples} samples")
+    return _fit_output_weights(data, node_weights, biases, "elm", seed,
+                               svd=True, t0=t0)
 
 
 def _choose_anchors(n: int, n_hidden: int, strategy: str, seed: int,
@@ -179,14 +194,16 @@ def select_hidden_layer(inputs, n_hidden: int, anchor_strategy: str = "random",
                         seed: int = 0):
     """Phase one of the constructive training, as a reusable step.
 
-    Picks ``n_hidden`` anchor rows of ``inputs``, sorts them (inverse-lex
-    order, which the embedding makes identical to projection order),
-    builds the embedding from them, and selects the per-node gains and
-    biases. Costs O(n_hidden * dim) plus the sort.
+    Picks ``n_hidden`` anchor rows of ``inputs`` (1 to the row count),
+    sorts them (inverse-lex order, which the embedding makes identical
+    to projection order), builds the embedding from them, and selects
+    the per-node gains and biases. Costs O(n_hidden * dim) plus the
+    sort.
     """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"inputs must be 2-D, got ndim={x.ndim}")
+    _check_train_args(n_hidden, x.shape[0])
     idx = _choose_anchors(x.shape[0], n_hidden, anchor_strategy, seed, x)
     # np.take copies whole rows; fancy indexing pays a fixed cost per
     # row that would dominate the O(n_hidden * dim) work for small dim
@@ -199,45 +216,26 @@ def train_eelm(data: Dataset, n_hidden: int, anchor_strategy: str = "random",
                seed: int = 0, force_svd: bool = False):
     """Constructive hidden layer, output weights by orthogonal projection.
 
-    Phase one (:func:`select_hidden_layer`) picks ``n_hidden`` anchor
-    samples, builds the order embedding from them, orders them by their
-    projections, and selects gains and biases that make the anchor rows
-    of the hidden matrix strictly diagonally dominant. Phase two solves
-    the least-squares system over all samples through the Gram matrix,
-    which the construction makes positive definite; its Cholesky factor
-    certifies that in float64 (:func:`linalg.pinv_normal`), or the
-    RankDeficientError propagates. ``force_svd`` switches phase two to
-    the SVD path for cross-checking; it is never the default.
+    Phase one (:func:`select_hidden_layer`, which checks ``n_hidden``)
+    picks ``n_hidden`` anchor samples, builds the order embedding from
+    them, orders them by their projections, and selects gains and
+    biases that make the anchor rows of the hidden matrix strictly
+    diagonally dominant. Phase two, which :func:`train_elm` shares,
+    solves the least-squares system over all samples through the Gram
+    matrix, which the construction makes positive definite; its
+    Cholesky factor certifies that in float64
+    (:func:`linalg.pinv_normal`), or the RankDeficientError propagates.
+    ``force_svd`` switches phase two to ELM's SVD path for
+    cross-checking; it is never the default.
 
     Returns ``(SlfnModel, TrainReport)``.
     """
-    _check_train_args(data, n_hidden)
-    inputs, targets = data.inputs, data.targets
-    d = data.n_features
-
     t0 = time.perf_counter()
-    params = select_hidden_layer(inputs, n_hidden, anchor_strategy, seed)
+    params = select_hidden_layer(data.inputs, n_hidden, anchor_strategy, seed)
     select_seconds = time.perf_counter() - t0
-
-    h = build_hidden_matrix(params.node_weights, params.biases, inputs)
-    if force_svd:
-        pinv, rank = linalg._pinv_svd_rank(h)
-        beta = pinv @ targets
-        rank_ok = rank == n_hidden
-        path = "svd"
-    else:
-        beta = linalg.pinv_normal(h) @ targets
-        rank_ok = True  # the Cholesky solve just certified it
-        path = "orthogonal-projection"
-    train_seconds = time.perf_counter() - t0
-
-    model = SlfnModel(d, data.n_outputs, n_hidden, params.node_weights,
-                      params.biases, beta, "eelm", seed=seed)
-    report = TrainReport(train_seconds=train_seconds,
-                         select_seconds=select_seconds,
-                         hidden_matrix_rank_ok=rank_ok, pinv_path=path,
-                         train_metric=_train_metric(data, h @ beta))
-    return model, report
+    return _fit_output_weights(data, params.node_weights, params.biases,
+                               "eelm", seed, svd=force_svd, t0=t0,
+                               select_seconds=select_seconds)
 
 
 def predict(model: SlfnModel, inputs) -> np.ndarray:
@@ -295,127 +293,106 @@ def save_model(model: SlfnModel, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-class _LineReader:
-    """Lines of a text file with the byte offset of each line tracked."""
-
-    def __init__(self, path):
-        self.path = str(path)
-        try:
-            with open(path, "rb") as fh:
-                raw = fh.read()
-        except OSError as exc:
-            raise FormatError(f"cannot read model file: {exc}",
-                              path=str(path)) from exc
-        self.lines: list[tuple[int, str]] = []
-        offset = 0
-        for chunk in raw.split(b"\n"):
-            self.lines.append((offset, chunk.decode("utf-8",
-                                                    errors="replace")))
-            offset += len(chunk) + 1
-        self.pos = 0
-        self.offset = 0
-
-    def next_line(self, what: str) -> str:
-        while self.pos < len(self.lines):
-            offset, line = self.lines[self.pos]
-            self.pos += 1
-            self.offset = offset
-            if line.strip():
-                return line.strip()
-        raise FormatError(f"file truncated while reading {what}",
-                          path=self.path, offset=self.offset)
-
-
-def _parse_keyed(reader: _LineReader, key: str) -> str:
-    line = reader.next_line(key)
-    parts = line.split(None, 1)
-    if len(parts) != 2 or parts[0] != key:
-        raise FormatError(f"expected '{key} <value>', found {line!r}",
-                          path=reader.path, offset=reader.offset)
-    return parts[1].strip()
-
-
-def _parse_floats(reader: _LineReader, what: str, count: int) -> list[float]:
-    line = reader.next_line(what)
-    cells = line.split()
-    if len(cells) != count:
-        raise FormatError(f"{what}: expected {count} values, found "
-                          f"{len(cells)}", path=reader.path,
-                          offset=reader.offset)
-    out = []
-    for cell in cells:
-        try:
-            out.append(float.fromhex(cell))
-        except ValueError:
-            raise FormatError(f"{what}: {cell!r} is not a hex float",
-                              path=reader.path, offset=reader.offset) from None
-    return out
+def _line(lines: list, pos: int, what: str, path: str) -> tuple[int, str]:
+    """Line ``pos`` of a model file as (byte offset, text); FormatError
+    when the file ends there."""
+    offset, text = lines[pos]
+    if text is None:
+        raise FormatError(f"file truncated while reading {what}", path=path,
+                          offset=offset)
+    return offset, text
 
 
 def load_model(path) -> SlfnModel:
     """Read a model written by :func:`save_model`.
 
-    Malformed content raises FormatError carrying the byte offset of the
-    offending line; a version tag other than the supported one is
-    rejected naming both versions.
+    The file is read once; blank lines and the whitespace around a line
+    are ignored. Each field is checked as it is read, so the first
+    malformed line in file order raises FormatError carrying its byte
+    offset (a truncated file: the offset of its last line). A version
+    tag other than the supported one is rejected naming both versions.
     """
-    reader = _LineReader(path)
-    tag = reader.next_line("format tag")
+    path = str(path)
+    try:
+        with open(path, "rb") as fh:
+            chunks = fh.read().split(b"\n")
+    except OSError as exc:
+        raise FormatError(f"cannot read model file: {exc}",
+                          path=path) from exc
+    # (byte offset, stripped text) of each non-blank line, then the end
+    # of the file at the offset of its last chunk
+    lines, offset = [], 0
+    for chunk in chunks:
+        text = chunk.decode("utf-8", errors="replace").strip()
+        if text:
+            lines.append((offset, text))
+        offset += len(chunk) + 1
+    lines.append((offset - len(chunks[-1]) - 1, None))
+
+    pos = 0
+    offset, tag = _line(lines, pos, "format tag", path)
     if tag != MODEL_FORMAT:
         raise FormatError(f"expected format {MODEL_FORMAT!r}, found {tag!r}",
-                          path=reader.path, offset=reader.offset)
-    provenance = _parse_keyed(reader, "provenance")
-    seed_text = _parse_keyed(reader, "seed")
-    act_tag = _parse_keyed(reader, "activation")
-    if act_tag != ACTIVATION_TAG:
-        raise FormatError(f"unknown activation tag {act_tag!r}; expected "
-                          f"{ACTIVATION_TAG!r}", path=reader.path,
-                          offset=reader.offset)
+                          path=path, offset=offset)
+    header = {}
+    for key in ("provenance", "seed", "activation", "input_dim",
+                "output_dim", "n_hidden"):
+        pos += 1
+        offset, line = _line(lines, pos, key, path)
+        parts = line.split(None, 1)
+        if len(parts) != 2 or parts[0] != key:
+            raise FormatError(f"expected '{key} <value>', found {line!r}",
+                              path=path, offset=offset)
+        text = parts[1]
+        if key == "provenance":
+            header[key] = text  # SlfnModel checks it
+        elif key == "activation":
+            if text != ACTIVATION_TAG:
+                raise FormatError(f"unknown activation tag {text!r}; "
+                                  f"expected {ACTIVATION_TAG!r}", path=path,
+                                  offset=offset)
+        elif key == "seed" and text == "none":
+            header[key] = None
+        else:
+            try:
+                header[key] = int(text)
+            except ValueError:
+                kind = "an integer or 'none'" if key == "seed" else \
+                    "an integer"
+                raise FormatError(f"{key}: {text!r} is not {kind}",
+                                  path=path, offset=offset) from None
+            if key != "seed" and header[key] < 1:
+                raise FormatError(f"{key} must be >= 1, got {header[key]}",
+                                  path=path, offset=offset)
 
-    def _int_field(key: str) -> int:
-        text = _parse_keyed(reader, key)
-        try:
-            value = int(text)
-        except ValueError:
-            raise FormatError(f"{key}: {text!r} is not an integer",
-                              path=reader.path,
-                              offset=reader.offset) from None
-        if value < 1:
-            raise FormatError(f"{key} must be >= 1, got {value}",
-                              path=reader.path, offset=reader.offset)
-        return value
-
-    d = _int_field("input_dim")
-    m = _int_field("output_dim")
-    n0 = _int_field("n_hidden")
-    if seed_text == "none":
-        seed = None
-    else:
-        try:
-            seed = int(seed_text)
-        except ValueError:
-            raise FormatError(f"seed: {seed_text!r} is not an integer or "
-                              f"'none'", path=reader.path,
-                              offset=reader.offset) from None
-
-    def _section(name: str) -> None:
-        line = reader.next_line(name)
+    d, m, n0 = header["input_dim"], header["output_dim"], header["n_hidden"]
+    arrays = []
+    for name, rows, width in (("node_weights", n0, d), ("biases", 1, n0),
+                              ("output_weights", n0, m), ("end", 0, 0)):
+        pos += 1
+        offset, line = _line(lines, pos, name, path)
         if line != name:
             raise FormatError(f"expected section {name!r}, found {line!r}",
-                              path=reader.path, offset=reader.offset)
-
-    _section("node_weights")
-    node_weights = np.array([_parse_floats(reader, "node_weights", d)
-                             for _ in range(n0)])
-    _section("biases")
-    biases = np.array(_parse_floats(reader, "biases", n0))
-    _section("output_weights")
-    output_weights = np.array([_parse_floats(reader, "output_weights", m)
-                               for _ in range(n0)])
-    _section("end")
+                              path=path, offset=offset)
+        values = []
+        for _ in range(rows):
+            pos += 1
+            offset, line = _line(lines, pos, name, path)
+            cells = line.split()
+            if len(cells) != width:
+                raise FormatError(f"{name}: expected {width} values, found "
+                                  f"{len(cells)}", path=path, offset=offset)
+            for cell in cells:
+                try:
+                    values.append(float.fromhex(cell))
+                except (ValueError, OverflowError):
+                    raise FormatError(f"{name}: {cell!r} is not a hex float",
+                                      path=path, offset=offset) from None
+        arrays.append(np.array(values).reshape(rows, width))
+    node_weights, biases, output_weights, _ = arrays
     try:
         return SlfnModel(d, m, n0, node_weights, biases, output_weights,
-                         provenance, seed=seed)
+                         header["provenance"], seed=header["seed"])
     except (ShapeError, PreconditionError) as exc:
         raise FormatError(f"inconsistent model fields: {exc}",
-                          path=reader.path) from None
+                          path=path) from None

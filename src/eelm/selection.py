@@ -64,11 +64,10 @@ class SelectionParams:
     ``node_weights[i] == gains[i] * embedding_weights`` and
     ``biases[i]`` puts anchor i exactly at the activation peak:
     ``gaussian(node_weights[i] @ anchor_i + biases[i]) == 1``.
-    ``dist`` is the cutoff radius of ``n_hidden`` nodes. Boundary nodes
-    reuse their neighbour's gain.
+    ``dist`` is the cutoff radius of ``gains.size`` nodes. Boundary
+    nodes reuse their neighbour's gain.
     """
 
-    n_hidden: int
     dist: float
     gains: np.ndarray
     node_weights: np.ndarray
@@ -121,5 +120,5 @@ def select_weights(anchors, weights) -> SelectionParams:
             and np.isfinite(biases).all()):
         raise NumericOverflowError(
             "selection overflowed float64 (nearly duplicate projections?)")
-    return SelectionParams(n_hidden=n0, dist=dist, gains=gains,
-                           node_weights=node_weights, biases=biases)
+    return SelectionParams(dist=dist, gains=gains, node_weights=node_weights,
+                           biases=biases)

@@ -12,7 +12,6 @@ from eelm.bench import (ExperimentConfig, report_all_failed, run_dataset,
                         run_node_sweep, run_sinc, validate_report)
 from eelm.datasets import CLASSIFICATION, CsvSchema, split
 from eelm.errors import FormatError, PreconditionError
-from eelm.models import train_elm
 
 
 def write_toy_csv(path, n_per_class=20, seed=0):
@@ -178,18 +177,47 @@ def test_csv_sweep_of_one_node_count_is_the_dataset_run(tmp_path):
             == without_timings(dataset["algorithms"]))
 
 
-def test_sweep_checks_every_node_count_before_any_fit(monkeypatch):
-    fits = []
+def counting(monkeypatch, name):
+    """Calls of bench's binding ``name``, recorded by argument tuple."""
+    calls = []
+    real = getattr(bench, name)
 
-    def counting_elm(*args, **kwargs):
-        fits.append(args)
-        return train_elm(*args, **kwargs)
-    monkeypatch.setattr(bench, "train_elm", counting_elm)
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(bench, name, wrapper)
+    return calls
+
+
+def test_sweep_checks_every_node_count_before_any_fit(monkeypatch):
+    fits = counting(monkeypatch, "train_elm")
     config = ExperimentConfig(node_sweep=(50, 100, 150, 300), trials=20,
                               n_train=200, n_test=20)
     with pytest.raises(PreconditionError, match="nodes=300"):
         run_node_sweep(config)
     assert fits == []
+
+
+def test_sinc_sweep_draws_each_trial_once(monkeypatch):
+    draws = counting(monkeypatch, "gen_sinc")
+    config = ExperimentConfig(node_sweep=(4, 8, 12, 16), trials=3, seed=5,
+                              n_train=30, n_test=10)
+    report = run_node_sweep(config)
+    assert [args[2] for args in draws] == [5, 6, 7]
+    for entry in report["sweep"]:
+        for section in entry["algorithms"].values():
+            assert [r["seed"] for r in section["trials"]] == [5, 6, 7]
+
+
+def test_csv_sweep_splits_each_trial_once(monkeypatch, tmp_path):
+    splits = counting(monkeypatch, "split")
+    path = write_toy_csv(tmp_path / "toy.csv")
+    config = ExperimentConfig(node_sweep=(4, 8), trials=3, seed=2,
+                              csv_path=str(path),
+                              csv_schema=CsvSchema(target="label",
+                                                   task=CLASSIFICATION))
+    run_node_sweep(config)
+    assert [args[2] for args in splits] == [2, 3, 4]
 
 
 @pytest.mark.parametrize("fields", [
@@ -260,3 +288,12 @@ def test_config_validation():
         ExperimentConfig(nodes=10, split_fraction=1.0).validate()
     with pytest.raises(PreconditionError):
         run_dataset(ExperimentConfig(nodes=5))  # no csv source
+
+
+def test_config_rejects_unknown_anchor_strategy(monkeypatch):
+    fits = counting(monkeypatch, "train_elm")
+    config = ExperimentConfig(nodes=10, trials=2, n_train=20, n_test=10,
+                              anchor_strategy="bogus")
+    with pytest.raises(PreconditionError, match="bogus"):
+        run_sinc(config)
+    assert fits == []

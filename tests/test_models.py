@@ -163,6 +163,14 @@ def test_select_hidden_layer_rejects_degenerate_anchors(inputs):
             select_hidden_layer(x, x.shape[0], anchor_strategy=strategy)
 
 
+@pytest.mark.parametrize("strategy", ["first", "random", "even"])
+def test_select_hidden_layer_checks_node_count(strategy):
+    x = np.random.default_rng(8).uniform(1.0, 2.0, (10, 3))
+    for n_hidden in (0, -1, x.shape[0] + 1):
+        with pytest.raises(PreconditionError, match="n_hidden"):
+            select_hidden_layer(x, n_hidden, anchor_strategy=strategy)
+
+
 def test_train_eelm_multi_output_classification():
     rng = np.random.default_rng(8)
     inputs = np.vstack([rng.normal(-2, 0.5, (20, 2)),
@@ -369,6 +377,29 @@ def test_model_file_bad_value_reports_offset(tmp_path):
     assert exc_info.value.offset is not None
     expected = sum(len(line) + 1 for line in lines[:weights_at])
     assert exc_info.value.offset == expected
+
+
+# a bad seed, and a hex float too large for float64, are each reported
+# as a FormatError at their own line
+@pytest.mark.parametrize("near, shift, replacement", [
+    ("seed 1", 0, "seed x"),
+    ("end", -1, "0x1p99999"),
+])
+def test_model_file_bad_line_reports_its_offset(tmp_path, near, shift,
+                                                replacement):
+    rng = np.random.default_rng(13)
+    model, _ = train_elm(regression_data(rng, 10, 2), 3, seed=1)
+    path = tmp_path / "model.slfn"
+    save_model(model, path)
+    lines = path.read_text().splitlines()
+    bad_at = lines.index(near) + shift
+    lines[bad_at] = replacement
+    bad = tmp_path / "bad.slfn"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(FormatError, match=replacement.split()[-1]) as exc_info:
+        load_model(bad)
+    assert exc_info.value.offset == sum(len(line) + 1
+                                        for line in lines[:bad_at])
 
 
 def test_model_file_unknown_activation_reports_offset(tmp_path):
