@@ -17,6 +17,7 @@ round trip is bit-exact.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ from .datasets import METRICS, Dataset
 from .errors import (FormatError, NumericOverflowError, PreconditionError,
                      ShapeError)
 from .ordering import _sorted_weights, invlex_sort_indices
-from .selection import gaussian, select_weights
+from .selection import _gaussian_inplace, select_weights
 
 __all__ = ["SlfnModel", "TrainReport", "build_hidden_matrix", "train_elm",
            "train_eelm", "select_hidden_layer", "predict", "save_model",
@@ -103,7 +104,10 @@ class TrainReport:
 
 
 def build_hidden_matrix(node_weights, biases, inputs) -> np.ndarray:
-    """Activation matrix H with H[i, k] = gaussian(W_k . x_i + b_k)."""
+    """Activation matrix H with H[i, k] = gaussian(W_k . x_i + b_k).
+
+    H is computed in the one (rows, nodes) buffer the product allocates.
+    """
     nw = np.asarray(node_weights, dtype=np.float64)
     b = np.asarray(biases, dtype=np.float64).ravel()
     x = np.asarray(inputs, dtype=np.float64)
@@ -115,10 +119,11 @@ def build_hidden_matrix(node_weights, biases, inputs) -> np.ndarray:
         raise ShapeError(f"nodes have dimension {nw.shape[1]}, inputs "
                          f"{x.shape[1]}")
     with np.errstate(over="ignore", invalid="ignore"):
-        z = x @ nw.T + b
+        z = x @ nw.T
+        z += b
     if not np.isfinite(z).all():
         raise NumericOverflowError("hidden-node pre-activations overflowed")
-    return gaussian(z)
+    return _gaussian_inplace(z)
 
 
 def _check_train_args(n_hidden: int, n_samples: int) -> None:
@@ -345,7 +350,11 @@ def load_model(path) -> SlfnModel:
                               path=path, offset=offset)
         text = parts[1]
         if key == "provenance":
-            header[key] = text  # SlfnModel checks it
+            if text not in ALGORITHMS:
+                raise FormatError(f"unknown provenance {text!r}; expected "
+                                  f"one of {ALGORITHMS}", path=path,
+                                  offset=offset)
+            header[key] = text
         elif key == "activation":
             if text != ACTIVATION_TAG:
                 raise FormatError(f"unknown activation tag {text!r}; "
@@ -384,15 +393,16 @@ def load_model(path) -> SlfnModel:
                                   f"{len(cells)}", path=path, offset=offset)
             for cell in cells:
                 try:
-                    values.append(float.fromhex(cell))
+                    value = float.fromhex(cell)
                 except (ValueError, OverflowError):
                     raise FormatError(f"{name}: {cell!r} is not a hex float",
                                       path=path, offset=offset) from None
+                # float.fromhex also reads 'inf' and 'nan'
+                if not math.isfinite(value):
+                    raise FormatError(f"{name}: {cell!r} is not finite",
+                                      path=path, offset=offset)
+                values.append(value)
         arrays.append(np.array(values).reshape(rows, width))
     node_weights, biases, output_weights, _ = arrays
-    try:
-        return SlfnModel(d, m, n0, node_weights, biases, output_weights,
-                         header["provenance"], seed=header["seed"])
-    except (ShapeError, PreconditionError) as exc:
-        raise FormatError(f"inconsistent model fields: {exc}",
-                          path=path) from None
+    return SlfnModel(d, m, n0, node_weights, biases, output_weights,
+                     header["provenance"], seed=header["seed"])

@@ -39,11 +39,28 @@ def row_dot(a, b) -> np.ndarray:
     return np.einsum("ij,ij->i", a, b)
 
 
+# exp(-t) is exactly 0.0 in float64 for every t > 745.14, so a square at
+# or above this is left at 0 without calling exp, which is slow exactly
+# where it underflows
+_UNDERFLOW_SQUARE = 746.0
+
+
+def _gaussian_inplace(z: np.ndarray) -> np.ndarray:
+    """Overwrite the float64 array ``z`` with ``exp(-z^2)``, bit for bit,
+    and return it; a NaN stays NaN."""
+    np.square(z, out=z)
+    np.negative(z, out=z)
+    np.exp(z, out=z, where=z > -_UNDERFLOW_SQUARE)
+    # what exp skipped holds -z^2 < 0 (or -inf): the maximum makes it
+    # +0.0, the value exp gives there, and keeps every NaN
+    return np.maximum(z, 0.0, out=z)
+
+
 def gaussian(z) -> np.ndarray:
     """The activation: the Gaussian radial basis function ``exp(-z^2)``,
     with its peak value 1 at 0."""
-    z = np.asarray(z, dtype=np.float64)
-    return np.exp(-(z * z))
+    # [()] makes a 0-d result a scalar, as np.exp(-(z * z)) returns it
+    return _gaussian_inplace(np.array(z, dtype=np.float64))[()]
 
 
 def cutoff_radius(n_hidden: int) -> float:

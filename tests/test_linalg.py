@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from eelm.errors import PreconditionError, RankDeficientError, ShapeError
-from eelm.linalg import (numerical_rank, pinv_normal, pinv_svd,
+from eelm.linalg import (PINV_BLOCK_CELLS, _row_blocks, _tri_inv,
+                         numerical_rank, pinv_normal, pinv_svd,
                          strict_dominance_report)
+from eelm.models import build_hidden_matrix, select_hidden_layer
 
 
 def penrose_residuals(a, x):
@@ -124,6 +126,83 @@ def test_pinv_agreement_on_random_full_rank():
         s = np.linalg.svd(a, compute_uv=False)
         assert s[0] / s[-1] < 1e6
         assert np.abs(pinv_svd(a) - pinv_normal(a)).max() <= 1e-8
+
+
+def banded(rng, n, k, width):
+    """An n x k matrix whose row i is non-zero on one random window of
+    ``width`` columns."""
+    a = np.zeros((n, k))
+    starts = rng.integers(0, k - width + 1, n)
+    for i, start in enumerate(starts):
+        a[i, start:start + width] = rng.uniform(0.5, 1.0, width)
+    return a
+
+
+def test_pinv_normal_on_eelm_hidden_matrix_with_zero_rows():
+    # an EELM H is banded in node order; its rows, shuffled, come in no
+    # column order, and rows far from every anchor are all zero
+    rng = np.random.default_rng(17)
+    x = rng.uniform(-1.0, 1.0, (3000, 2))
+    params = select_hidden_layer(x, 300, seed=17)
+    h = build_hidden_matrix(params.node_weights, params.biases, x)
+    h = np.vstack([h, np.zeros((40, 300))])[rng.permutation(3040)]
+    zero = ~h.any(axis=1)
+    blocks = _row_blocks(h)
+    assert zero.sum() >= 40 and len(blocks) > 1
+    # all-zero rows cost nothing: they are in no block
+    assert np.array_equal(np.sort(np.concatenate([r for r, _, _ in blocks])),
+                          np.flatnonzero(~zero))
+    got = pinv_normal(h)
+    assert np.abs(got - pinv_svd(h)).max() <= 1e-8
+    assert np.array_equal(got[:, zero], np.zeros((300, zero.sum())))
+
+
+def test_pinv_normal_around_one_block():
+    rng = np.random.default_rng(18)
+    k = 100
+    block = PINV_BLOCK_CELLS // k
+    for n in (block - 1, block, block + 1):
+        a = banded(rng, n, k, 12)
+        assert len(_row_blocks(a)) == (1 if n <= block else 2)
+        assert np.abs(pinv_normal(a) - pinv_svd(a)).max() <= 1e-8
+
+
+def test_pinv_normal_one_block_needs_no_scan():
+    a = np.random.default_rng(19).uniform(-1.0, 1.0, (576, 20))
+    assert _row_blocks(a) == [(slice(None), 0, 20)]
+
+
+def test_pinv_normal_dense_matrix_over_several_blocks():
+    rng = np.random.default_rng(20)
+    k = 50
+    a = rng.uniform(-1.0, 1.0, (3 * (PINV_BLOCK_CELLS // k) + 17, k))
+    blocks = _row_blocks(a)
+    assert len(blocks) == 4
+    assert all((lo, hi) == (0, k) for _, lo, hi in blocks)
+    assert np.abs(pinv_normal(a) - pinv_svd(a)).max() <= 1e-8
+
+
+def test_pinv_normal_names_a_dependent_column_in_a_later_block():
+    rng = np.random.default_rng(21)
+    k = 200
+    a = banded(rng, 3 * (PINV_BLOCK_CELLS // k), k, 10)
+    j = k - 5
+    a[:, j] = a[:, j - 1]
+    assert len(_row_blocks(a)) == 3
+    with pytest.raises(RankDeficientError) as exc_info:
+        pinv_normal(a)
+    assert exc_info.value.pivot == j
+
+
+@pytest.mark.parametrize("order", [1, 64, 65, 200, 1000])
+def test_tri_inv_matches_lapack_solve(order):
+    rng = np.random.default_rng(order)
+    m = rng.uniform(-1.0, 1.0, (2 * order, order))
+    low = np.linalg.cholesky(m.T @ m)
+    want = np.linalg.solve(low, np.eye(order))
+    got = _tri_inv(low)
+    assert np.array_equal(np.triu(got, 1), np.zeros((order, order)))
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_pinv_svd_penrose_on_rank_deficient():

@@ -1,8 +1,12 @@
 """Training algorithms, prediction, and model serialization."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import eelm
 from eelm.datasets import CLASSIFICATION, REGRESSION, Dataset, gen_sinc
 from eelm.errors import (FormatError, NumericOverflowError, PreconditionError,
                          ShapeError)
@@ -12,6 +16,9 @@ from eelm import models
 from eelm.models import (PREDICT_BLOCK_CELLS, SlfnModel, build_hidden_matrix,
                          load_model, predict, save_model, select_hidden_layer,
                          train_eelm, train_elm)
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def regression_data(rng, n, d, m=1, name="toy"):
@@ -35,6 +42,40 @@ def test_hidden_matrix_elementwise_oracle():
         for k in range(2):
             z = float(np.dot(nodes[k], inputs[i]) + biases[k])
             assert h[i, k] == pytest.approx(np.exp(-z * z), rel=1e-15)
+
+
+def _workload_inputs(name, workdir):
+    """Training and held-out inputs of instance 0 of a perfbench
+    workload at its full size (seed 1), with its node count and seed."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    inst = workloads.WORKLOADS[name].setup(
+        eelm, 1, workdir, **workloads.SIZES[name]["full"])[0]
+    return inst.train.inputs, inst.heldout_x, inst.nodes, inst.seed
+
+
+@pytest.mark.parametrize("workload", ["sinc-protocol", "tabular-trials",
+                                      "large-fit"])
+def test_hidden_matrix_is_exp_bit_for_bit_on_workload_inputs(tmp_path,
+                                                             workload):
+    train, heldout, n_hidden, seed = _workload_inputs(workload, tmp_path)
+    rng = np.random.default_rng(seed)  # train_elm's draw
+    elm = (rng.uniform(-1.0, 1.0, (n_hidden, train.shape[1])),
+           rng.uniform(-1.0, 1.0, n_hidden))
+    constructed = select_hidden_layer(train, n_hidden, seed=seed)
+    for nodes, biases in (elm, (constructed.node_weights,
+                                constructed.biases)):
+        for x in (train, heldout):
+            # 1000-row blocks bound the memory of the reference
+            for start in range(0, len(x), 1000):
+                rows = x[start:start + 1000]
+                z = rows @ nodes.T + biases
+                assert np.array_equal(
+                    build_hidden_matrix(nodes, biases, rows).view(np.uint64),
+                    np.exp(-(z * z)).view(np.uint64))
 
 
 def test_hidden_matrix_shape_checks():
@@ -379,11 +420,16 @@ def test_model_file_bad_value_reports_offset(tmp_path):
     assert exc_info.value.offset == expected
 
 
-# a bad seed, and a hex float too large for float64, are each reported
-# as a FormatError at their own line
+# a bad seed, an unknown provenance, a hex float too large for float64
+# and an infinite or NaN weight (float.fromhex reads both) are each
+# reported as a FormatError at their own line
 @pytest.mark.parametrize("near, shift, replacement", [
     ("seed 1", 0, "seed x"),
+    ("provenance elm", 0, "provenance svm"),
     ("end", -1, "0x1p99999"),
+    ("node_weights", 1, "0x1p0 inf"),
+    ("biases", 1, "0x1p0 0x1p0 nan"),
+    ("end", -1, "-inf"),
 ])
 def test_model_file_bad_line_reports_its_offset(tmp_path, near, shift,
                                                 replacement):

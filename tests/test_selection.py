@@ -23,9 +23,46 @@ def anchor_matrix(params, anchors):
 
 def test_activation_gaussian():
     assert gaussian(0.0) == 1.0
+    assert type(gaussian(0.0)) is np.float64
     z = np.linspace(-20, 20, 101)
     g = gaussian(z)
     assert (g > 0).all() and (g <= 1.0).all()
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and np.array_equal(
+        got.view(np.uint64), want.view(np.uint64))
+
+
+def _ulps_around(value, count=200):
+    """``value`` and ``count`` float64 neighbours on either side."""
+    out = [value]
+    below = above = value
+    for _ in range(count):
+        below = np.nextafter(below, -np.inf)
+        above = np.nextafter(above, np.inf)
+        out += [below, above]
+    return np.array(out)
+
+
+@pytest.mark.parametrize("square", [745.13, 746.0])
+def test_gaussian_is_exp_bit_for_bit_where_exp_underflows(square):
+    # exp(-t) reaches 0.0 just past t = 745.13; gaussian skips exp from
+    # t = 746 on, so both sides of either value must agree bit for bit
+    root = math.sqrt(square)
+    for z in (_ulps_around(root), -_ulps_around(root),
+              np.sqrt(_ulps_around(square))):
+        assert _same_bits(gaussian(z), np.exp(-(z * z)))
+    assert gaussian(math.sqrt(746.0)) == 0.0
+
+
+def test_gaussian_special_values():
+    z = np.array([0.0, -0.0, np.inf, -np.inf, 1e200, -1e-200])
+    with np.errstate(over="ignore"):
+        assert _same_bits(gaussian(z), np.exp(-(z * z)))
+    assert np.isnan(gaussian(np.nan))
+    assert np.isnan(gaussian([1.0, np.nan])).tolist() == [False, True]
 
 
 def test_cutoff_radius_single_node():
