@@ -14,9 +14,8 @@ from .bench import (ExperimentConfig, run_dataset, run_node_sweep, run_sinc,
 from .datasets import (CLASSIFICATION, REGRESSION, CsvSchema, Dataset,
                        classification_rate, gen_sinc, load_csv, minmax_scale,
                        rmse, split)
-from .errors import (FormatError, NoDifferenceError, NumericalFailure,
-                     NumericOverflowError, PreconditionError,
-                     RankDeficientError, ShapeError)
+from .errors import (FormatError, NumericalFailure, NumericOverflowError,
+                     PreconditionError, RankDeficientError, ShapeError)
 from .models import (SlfnModel, TrainReport, load_model, predict, save_model,
                      train_eelm, train_elm)
 
@@ -26,9 +25,8 @@ __version__ = "0.1.0"
 # paths, CSV helpers) stay importable from their submodules.
 __all__ = [
     # errors
-    "FormatError", "NoDifferenceError", "NumericalFailure",
-    "NumericOverflowError", "PreconditionError", "RankDeficientError",
-    "ShapeError",
+    "FormatError", "NumericalFailure", "NumericOverflowError",
+    "PreconditionError", "RankDeficientError", "ShapeError",
     # data
     "CLASSIFICATION", "REGRESSION", "CsvSchema", "Dataset",
     "classification_rate", "gen_sinc", "load_csv", "minmax_scale", "rmse",

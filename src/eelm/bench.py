@@ -297,16 +297,16 @@ _SINC_FIELDS = ("n_train", "n_test", "noise_sigma", "test_distribution")
 _CSV_FIELDS = ("split_fraction", "csv_schema")
 
 
-def _check_unused_source(config: ExperimentConfig) -> None:
-    """A sweep reads the CSV when ``csv_path`` is set and sinc otherwise;
-    the report would record, unused, the other source's settings."""
-    csv_sweep = config.csv_path is not None
-    changed = [name for name in (_SINC_FIELDS if csv_sweep else _CSV_FIELDS)
-               if getattr(config, name) != getattr(ExperimentConfig, name)]
-    if changed:
+def _refuse_unused_source(csv_sweep: bool, changed: dict) -> None:
+    """A sweep reads the CSV when ``csv_sweep`` and sinc otherwise; the
+    report would record, unused, the other source's settings. ``changed``
+    maps each setting off its default to the names it was set by."""
+    names = [name for field in (_SINC_FIELDS if csv_sweep else _CSV_FIELDS)
+             for name in changed.get(field, ())]
+    if names:
         source = "a CSV" if csv_sweep else "sinc"
         raise PreconditionError(
-            f"a sweep over {source} does not use {', '.join(changed)}")
+            f"a sweep over {source} does not use {', '.join(names)}")
 
 
 def run_node_sweep(config: ExperimentConfig) -> dict:
@@ -314,7 +314,9 @@ def run_node_sweep(config: ExperimentConfig) -> dict:
     config.validate()
     if not config.node_sweep:
         raise PreconditionError("sweep experiment needs a node_sweep list")
-    _check_unused_source(config)
+    _refuse_unused_source(config.csv_path is not None, {
+        field: [field] for field in _SINC_FIELDS + _CSV_FIELDS
+        if getattr(config, field) != getattr(ExperimentConfig, field)})
     if config.csv_path is not None:
         data, source = _csv_source(config)
         task = data.task

@@ -15,8 +15,8 @@ import argparse
 import dataclasses
 import sys
 
-from .bench import (ExperimentConfig, report_all_failed, run_dataset,
-                    run_node_sweep, run_sinc)
+from .bench import (ExperimentConfig, _refuse_unused_source,
+                    report_all_failed, run_dataset, run_node_sweep, run_sinc)
 from .datasets import (CLASSIFICATION, METRICS, REGRESSION, CsvSchema,
                        _read_features, load_csv)
 from .errors import (FormatError, NumericalFailure, NumericOverflowError,
@@ -30,7 +30,6 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 _TASKS = {"reg": REGRESSION, "cls": CLASSIFICATION}
-_DEFAULT_TASK = "reg"
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -41,7 +40,10 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
 
 
 # Each experiment flag's dest is the ExperimentConfig field it sets
-# (see _config).
+# (see _config), but for --target and --task, which set csv_schema.
+_FIELD_OF_DEST = {"target": "csv_schema", "task": "csv_schema"}
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--algo", choices=(*ALGORITHMS, "both"),
                         default="both", help="which algorithm(s) to run")
@@ -54,32 +56,35 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="write plot-ready CSV data here")
 
 
-def _add_sinc_source(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--n-train", type=int, default=200)
-    parser.add_argument("--n-test", type=int, default=200)
-    parser.add_argument("--noise", dest="noise_sigma", type=float,
-                        default=0.0, metavar="SIGMA",
-                        help="training-target noise standard deviation")
-    parser.add_argument("--test-dist", dest="test_distribution",
-                        choices=("uniform", "normal"), default="uniform")
+def _add_sinc_source(parser: argparse.ArgumentParser) -> list:
+    return [
+        parser.add_argument("--n-train", type=int, default=200),
+        parser.add_argument("--n-test", type=int, default=200),
+        parser.add_argument("--noise", dest="noise_sigma", type=float,
+                            default=0.0, metavar="SIGMA",
+                            help="training-target noise standard deviation"),
+        parser.add_argument("--test-dist", dest="test_distribution",
+                            choices=("uniform", "normal"), default="uniform"),
+    ]
 
 
-def _add_split(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--split", dest="split_fraction", type=float,
-                        default=0.75, metavar="F",
-                        help="training fraction of each split")
+def _add_split(parser: argparse.ArgumentParser) -> list:
+    return [parser.add_argument("--split", dest="split_fraction", type=float,
+                                default=0.75, metavar="F",
+                                help="training fraction of each split")]
 
 
-def _add_csv_source(parser: argparse.ArgumentParser, required: bool) -> None:
-    parser.add_argument("--csv", dest="csv_path", metavar="PATH",
-                        required=required,
-                        help="dataset CSV (header row required)")
-    parser.add_argument("--target", metavar="COL", action="append",
-                        help="target column name (repeatable for "
-                             "multi-output regression)")
-    parser.add_argument("--task", choices=("reg", "cls"),
-                        default=_DEFAULT_TASK,
-                        help="regression or classification")
+def _add_csv_source(parser: argparse.ArgumentParser, required: bool) -> list:
+    return [
+        parser.add_argument("--csv", dest="csv_path", metavar="PATH",
+                            required=required,
+                            help="dataset CSV (header row required)"),
+        parser.add_argument("--target", metavar="COL", action="append",
+                            help="target column name (repeatable for "
+                                 "multi-output regression)"),
+        parser.add_argument("--task", choices=("reg", "cls"), default="reg",
+                            help="regression or classification"),
+    ]
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -107,11 +112,10 @@ def _parser() -> argparse.ArgumentParser:
                                      "counts")
     p.add_argument("--nodes-sweep", required=True, metavar="A,B,C",
                    help="comma-separated node counts")
-    _add_split(p)
-    _add_sinc_source(p)
-    _add_csv_source(p, required=False)
+    source_actions = [*_add_split(p), *_add_sinc_source(p),
+                      *_add_csv_source(p, required=False)]
     _add_common(p)
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd_sweep, source_actions=source_actions)
 
     p = sub.add_parser("train", help="train one model on a CSV and save it")
     p.add_argument("--nodes", type=int, required=True)
@@ -192,11 +196,13 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    # only these two never reach the config that run_node_sweep checks
-    if args.csv_path is None and (args.target is not None
-                                  or args.task != _DEFAULT_TASK):
-        raise PreconditionError(
-            "--target and --task apply only to a sweep over --csv")
+    # run_node_sweep's check, on the flags as given so that it names them
+    changed = {}
+    for action in args.source_actions:
+        if getattr(args, action.dest) != action.default:
+            field = _FIELD_OF_DEST.get(action.dest, action.dest)
+            changed.setdefault(field, []).append(action.option_strings[0])
+    _refuse_unused_source(args.csv_path is not None, changed)
     try:
         sweep = tuple(int(tok) for tok in args.nodes_sweep.split(",") if tok)
     except ValueError:

@@ -14,7 +14,7 @@ from .errors import FormatError, PreconditionError, ShapeError
 __all__ = [
     "REGRESSION", "CLASSIFICATION", "Dataset", "CsvSchema", "load_csv",
     "sinc", "gen_sinc", "split", "rmse", "classification_rate", "METRICS",
-    "one_hot_encode", "one_hot_decode", "minmax_scale",
+    "one_hot_encode", "minmax_scale",
 ]
 
 REGRESSION = "regression"
@@ -88,14 +88,6 @@ def one_hot_encode(labels: Sequence[str]):
     for i, lab in enumerate(labels):
         rows[i, index[lab]] = 1.0
     return rows, classes
-
-
-def one_hot_decode(rows, classes: Sequence[str]) -> list[str]:
-    """Invert one-hot (or score) rows back to labels via argmax."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != len(classes):
-        raise ShapeError("rows do not match the class list")
-    return [classes[j] for j in rows.argmax(axis=1)]
 
 
 @dataclass(frozen=True)

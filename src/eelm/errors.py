@@ -15,7 +15,9 @@ class PreconditionError(ValueError):
 
 
 class NoDifferenceError(ValueError):
-    """Two vectors are identical, so no deciding attribute exists."""
+    """Two vectors are identical. Nothing in the library raises it (the
+    embedding reports duplicates as a PreconditionError); it is kept
+    because ``perfbench/workloads.py`` names it among eelm's errors."""
 
 
 class NumericalFailure(RuntimeError):

@@ -3,10 +3,10 @@
 Matrices are plain 2-D float64 ``numpy`` arrays. Two independent routes
 to the Moore-Penrose generalized inverse are provided:
 
-* :func:`pinv_svd` — singular value decomposition with a small-singular-
-  value cutoff; valid for any rank. The same SVD also yields the
-  numerical rank, so a caller that needs both pays for one
-  decomposition.
+* :func:`pinv_svd` — singular value decomposition with the one cutoff
+  ``max(rows, cols) * eps * sigma_max``; valid for any rank. The same
+  SVD also yields the numerical rank, so a caller that needs both pays
+  for one decomposition.
 * :func:`pinv_normal` — the orthogonal-projection form ``(AᵀA)⁻¹Aᵀ``:
   LAPACK factors the Gram matrix as ``LLᵀ``, ``L⁻¹`` is inverted by
   2×2 blocks, and each row block of ``A`` is multiplied by the rows of
@@ -35,7 +35,6 @@ import numpy as np
 from .errors import NumericalFailure, PreconditionError, RankDeficientError, ShapeError
 
 __all__ = [
-    "as_matrix",
     "pinv_svd",
     "pinv_normal",
     "numerical_rank",
@@ -54,7 +53,7 @@ PINV_BLOCK_CELLS = 1 << 18
 _TRI_LEAF = 64
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
+def _as_matrix(a, name: str) -> np.ndarray:
     """Validate and convert ``a`` to a 2-D float64 array.
 
     Raises ShapeError for wrong dimensionality or empty axes and
@@ -71,38 +70,34 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def _pinv_svd_rank(a, tol: float | None = None):
-    """``(pinv_svd(a, tol), numerical_rank(a, tol))`` from one SVD."""
-    a = as_matrix(a, "pinv_svd input")
-    if tol is None:
-        # standard effective-rank cutoff relative to the largest
-        # singular value
-        tol = max(a.shape) * np.finfo(np.float64).eps
-    elif tol < 0:
-        raise PreconditionError(f"tol must be >= 0, got {tol}")
+def _pinv_svd_rank(a):
+    """``(pinv_svd(a), numerical_rank(a))`` from one SVD."""
+    a = _as_matrix(a, "pinv_svd input")
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
-    cutoff = tol * (s[0] if s.size else 0.0)
+    # the standard effective-rank cutoff, relative to the largest
+    # singular value
+    cutoff = max(a.shape) * np.finfo(np.float64).eps * s[0]
     inv = np.zeros_like(s)
     keep = s > cutoff
     inv[keep] = 1.0 / s[keep]
     return (vt.T * inv) @ u.T, int(np.count_nonzero(keep))
 
 
-def pinv_svd(a, tol: float | None = None) -> np.ndarray:
+def pinv_svd(a) -> np.ndarray:
     """Moore-Penrose pseudoinverse by SVD, valid for any rank.
 
-    Singular values at or below ``tol * sigma_max`` are treated as zero;
-    ``tol`` defaults to ``max(rows, cols) * machine epsilon``.
+    Singular values at or below ``max(rows, cols) * eps * sigma_max``
+    are treated as zero.
     """
-    return _pinv_svd_rank(a, tol)[0]
+    return _pinv_svd_rank(a)[0]
 
 
-def numerical_rank(a, tol: float | None = None) -> int:
+def numerical_rank(a) -> int:
     """Number of singular values above the ``pinv_svd`` cutoff."""
-    return _pinv_svd_rank(a, tol)[1]
+    return _pinv_svd_rank(a)[1]
 
 
 def _cholesky(g: np.ndarray, bound: float) -> np.ndarray | None:
@@ -184,7 +179,7 @@ def pinv_normal(a) -> np.ndarray:
     is the order of the smallest leading block of ``G`` that fails the
     same test, found by bisection.
     """
-    a = as_matrix(a, "pinv_normal input")
+    a = _as_matrix(a, "pinv_normal input")
     n, k = a.shape
     blocks = _row_blocks(a)
     gram = np.zeros((k, k))
@@ -236,14 +231,10 @@ class DominanceReport:
     row_margin: float
     global_margin: float
 
-    @property
-    def worst_margin(self) -> float:
-        return min(self.row_margin, self.global_margin)
-
 
 def strict_dominance_report(a) -> DominanceReport:
     """Report row-wise and global strict diagonal dominance of ``a``."""
-    a = as_matrix(a, "dominance input")
+    a = _as_matrix(a, "dominance input")
     n, m = a.shape
     if n != m:
         raise ShapeError(f"dominance requires a square matrix, got {a.shape}")

@@ -118,12 +118,14 @@ def build_hidden_matrix(node_weights, biases, inputs) -> np.ndarray:
     if nw.shape[1] != x.shape[1]:
         raise ShapeError(f"nodes have dimension {nw.shape[1]}, inputs "
                          f"{x.shape[1]}")
+    # a finite |z| above ~1.3e154 squares to inf: exactly the Gaussian's 0
     with np.errstate(over="ignore", invalid="ignore"):
         z = x @ nw.T
         z += b
-    if not np.isfinite(z).all():
-        raise NumericOverflowError("hidden-node pre-activations overflowed")
-    return _gaussian_inplace(z)
+        if not np.isfinite(z).all():
+            raise NumericOverflowError(
+                "hidden-node pre-activations overflowed")
+        return _gaussian_inplace(z)
 
 
 def _check_train_args(n_hidden: int, n_samples: int) -> None:

@@ -31,50 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoDifferenceError, NumericOverflowError, PreconditionError, ShapeError
+from .errors import NumericOverflowError, PreconditionError, ShapeError
 
 __all__ = [
-    "invlex_compare",
-    "different_attribute",
     "invlex_sort_indices",
     "OrderEmbedding",
     "build_embedding",
     "embed_or_identity",
 ]
-
-
-def _as_vector_pair(x1, x2):
-    a = np.asarray(x1, dtype=np.float64).ravel()
-    b = np.asarray(x2, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ShapeError(f"vectors have different lengths {a.size} and {b.size}")
-    if a.size == 0:
-        raise ShapeError("vectors must be non-empty")
-    return a, b
-
-
-def invlex_compare(x1, x2) -> int:
-    """Compare two vectors in inverse lexicographical order.
-
-    Returns -1, 0 or +1. The highest index at which the vectors differ
-    decides: whichever has the smaller coordinate there is smaller.
-    """
-    a, b = _as_vector_pair(x1, x2)
-    for j in range(a.size - 1, -1, -1):
-        if a[j] < b[j]:
-            return -1
-        if a[j] > b[j]:
-            return 1
-    return 0
-
-
-def different_attribute(x1, x2) -> int:
-    """Zero-based index of the highest coordinate at which x1 and x2 differ."""
-    a, b = _as_vector_pair(x1, x2)
-    differ = np.flatnonzero(a != b)
-    if differ.size == 0:
-        raise NoDifferenceError("vectors are identical; no differing attribute")
-    return int(differ[-1])
 
 
 def invlex_sort_indices(samples) -> np.ndarray:
@@ -118,11 +82,6 @@ class OrderEmbedding:
     delta: float
     exponents: np.ndarray
     weights: np.ndarray
-
-    def project(self, samples) -> np.ndarray:
-        """Scalar projections ``samples @ weights``."""
-        x = np.asarray(samples, dtype=np.float64)
-        return x @ self.weights
 
 
 def _check_samples(x: np.ndarray) -> None:
@@ -183,7 +142,8 @@ def build_embedding(samples) -> OrderEmbedding:
     """Construct the order embedding for invlex-sorted distinct samples.
 
     Requires n >= 2 samples of dimension d >= 2, pairwise distinct,
-    sorted ascending by :func:`invlex_compare`, and no all-zero sample.
+    sorted ascending in inverse-lex order (as :func:`invlex_sort_indices`
+    sorts them), and no all-zero sample.
     The returned weights make ``samples @ weights`` strictly increasing.
     """
     x = np.asarray(samples, dtype=np.float64)

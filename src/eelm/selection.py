@@ -59,8 +59,10 @@ def _gaussian_inplace(z: np.ndarray) -> np.ndarray:
 def gaussian(z) -> np.ndarray:
     """The activation: the Gaussian radial basis function ``exp(-z^2)``,
     with its peak value 1 at 0."""
-    # [()] makes a 0-d result a scalar, as np.exp(-(z * z)) returns it
-    return _gaussian_inplace(np.array(z, dtype=np.float64))[()]
+    # z^2 may overflow to inf, giving the exact 0; [()] makes a 0-d
+    # result a scalar, as np.exp(-(z * z)) returns it
+    with np.errstate(over="ignore"):
+        return _gaussian_inplace(np.array(z, dtype=np.float64))[()]
 
 
 def cutoff_radius(n_hidden: int) -> float:

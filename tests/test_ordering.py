@@ -5,11 +5,35 @@ import math
 import numpy as np
 import pytest
 
-from eelm.errors import (NoDifferenceError, NumericOverflowError,
-                         PreconditionError, ShapeError)
-from eelm.ordering import (build_embedding, different_attribute,
-                           embed_or_identity, invlex_compare,
+from eelm.errors import NumericOverflowError, PreconditionError, ShapeError
+from eelm.ordering import (build_embedding, embed_or_identity,
                            invlex_sort_indices)
+
+
+def _as_vector_pair(x1, x2):
+    a = np.asarray(x1, dtype=np.float64).ravel()
+    b = np.asarray(x2, dtype=np.float64).ravel()
+    if a.shape != b.shape:
+        raise ShapeError(f"vectors have different lengths {a.size} and {b.size}")
+    if a.size == 0:
+        raise ShapeError("vectors must be non-empty")
+    return a, b
+
+
+def invlex_compare(x1, x2) -> int:
+    """The inverse lexicographical order, one pair at a time: the oracle
+    for the library's vectorized sort and validator.
+
+    Returns -1, 0 or +1. The highest index at which the vectors differ
+    decides: whichever has the smaller coordinate there is smaller.
+    """
+    a, b = _as_vector_pair(x1, x2)
+    for j in range(a.size - 1, -1, -1):
+        if a[j] < b[j]:
+            return -1
+        if a[j] > b[j]:
+            return 1
+    return 0
 
 
 def test_invlex_compare_first_attribute_decides():
@@ -42,14 +66,6 @@ def test_invlex_compare_is_strict_total_order():
         # transitivity: a<=b and b<=c imply a<=c
         if ab <= 0 and invlex_compare(b, c) <= 0:
             assert invlex_compare(a, c) <= 0
-
-
-def test_different_attribute_examples():
-    assert different_attribute((1, 2), (3, 2)) == 0
-    assert different_attribute((9, 4), (1, 5)) == 1
-    assert different_attribute((0, 0, 7), (0, 1, 7)) == 1
-    with pytest.raises(NoDifferenceError):
-        different_attribute((1, 2), (1, 2))
 
 
 def test_invlex_sort_matches_lexsort():
@@ -93,7 +109,7 @@ def test_build_embedding_two_sample_trace():
     assert np.array_equal(emb.diffs_min, [2.0, 1.0])
     assert emb.exponents == pytest.approx([math.log10(4.0)] * 2)
     assert emb.weights == pytest.approx([4.0, 16.0], rel=1e-12)
-    proj = emb.project(samples)
+    proj = samples @ emb.weights
     assert proj == pytest.approx([-4.0, 4.0], rel=1e-12)
     # exact construction identity
     assert np.array_equal(

@@ -7,6 +7,7 @@ import pytest
 
 from eelm.errors import NumericOverflowError, PreconditionError, ShapeError
 from eelm.linalg import strict_dominance_report
+from eelm.models import build_hidden_matrix
 from eelm.ordering import embed_or_identity
 from eelm.selection import cutoff_radius, gaussian, row_dot, select_weights
 
@@ -60,9 +61,19 @@ def test_gaussian_is_exp_bit_for_bit_where_exp_underflows(square):
 def test_gaussian_special_values():
     z = np.array([0.0, -0.0, np.inf, -np.inf, 1e200, -1e-200])
     with np.errstate(over="ignore"):
-        assert _same_bits(gaussian(z), np.exp(-(z * z)))
+        want = np.exp(-(z * z))
+    assert _same_bits(gaussian(z), want)
     assert np.isnan(gaussian(np.nan))
     assert np.isnan(gaussian([1.0, np.nan])).tolist() == [False, True]
+
+
+def test_gaussian_of_a_huge_finite_z_is_zero_without_a_warning():
+    # z * z overflows to inf for |z| above ~1.34e154, where the Gaussian
+    # is exactly 0; the suite turns any warning into an error
+    assert gaussian(1e200) == 0.0
+    assert gaussian(-1e200) == 0.0
+    assert np.array_equal(build_hidden_matrix([[1e160]], [0.0], [[1.0]]),
+                          [[0.0]])
 
 
 def test_cutoff_radius_single_node():
