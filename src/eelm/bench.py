@@ -353,64 +353,86 @@ def _write_sweep_plot(path, report: dict, config: ExperimentConfig) -> None:
                                  mean_of("select_seconds")])
 
 
-def _check(condition: bool, message: str) -> None:
+def _check(condition: bool, where: str, message: str) -> None:
     if not condition:
-        raise FormatError(f"invalid report: {message}")
+        raise FormatError(f"invalid report at {where}: {message}")
 
 
-def _validate_section(section: dict, metric_name: str) -> None:
-    _check(isinstance(section, dict), "algorithm section is not an object")
-    _check(set(section) == {"trials", "aggregates", "failures"},
-           f"algorithm section keys {sorted(section)}")
-    for record in section["trials"]:
-        _check(set(record) == set(_RECORD_KEYS),
-               f"trial record keys {sorted(record)}")
-        if record["error"] is None:
-            _check(all(isinstance(record[k], (int, float))
-                       for k in _AGG_KEYS),
-                   "successful trial has non-numeric fields")
-            _check(record["train_seconds"] >= 0.0, "negative train time")
-    _check(section["failures"] == sum(1 for r in section["trials"]
-                                      if r["error"] is not None),
-           "failure count does not match records")
-    recomputed = _aggregate(section["trials"], metric_name)
-    for key, agg in section["aggregates"].items():
-        ref = recomputed[key]
-        if agg is None or ref is None:
-            _check(agg is None and ref is None, f"{key} aggregate mismatch")
-            continue
-        for stat, value in ref.items():
-            _check(abs(agg[stat] - value) <= 1e-12 * max(1.0, abs(value)),
-                   f"{key}.{stat} not recomputable from trial records")
+def _validate_algorithms(algos, where: str, metric_name: str) -> None:
+    """The algorithm sections at ``where``: each one's failure count and
+    aggregates must be recomputable from its trial records."""
+    _check(isinstance(algos, dict) and algos, where, "not a non-empty object")
+    for algo, section in algos.items():
+        at = f"{where}.{algo}"
+        _check(algo in ALGORITHMS, at, f"not one of {ALGORITHMS}")
+        _check(isinstance(section, dict)
+               and set(section) == {"trials", "aggregates", "failures"}, at,
+               "not an object of trials, aggregates and failures")
+        trials = section["trials"]
+        _check(isinstance(trials, list), f"{at}.trials", "not a list")
+        for i, record in enumerate(trials):
+            record_at = f"{at}.trials[{i}]"
+            _check(isinstance(record, dict)
+                   and set(record) == set(_RECORD_KEYS), record_at,
+                   f"not an object of {', '.join(_RECORD_KEYS)}")
+            if record["error"] is None:
+                _check(all(isinstance(record[k], (int, float))
+                           for k in _AGG_KEYS), record_at,
+                       "successful trial has non-numeric fields")
+                _check(record["train_seconds"] >= 0.0, record_at,
+                       "negative train time")
+        _check(type(section["failures"]) is int
+               and section["failures"] == sum(r["error"] is not None
+                                              for r in trials),
+               f"{at}.failures", "not the number of failed trials")
+        aggregates = section["aggregates"]
+        _check(isinstance(aggregates, dict)
+               and set(aggregates) == set(_AGG_KEYS), f"{at}.aggregates",
+               f"not an object of {', '.join(_AGG_KEYS)}")
+        for key, ref in _aggregate(trials, metric_name).items():
+            agg, agg_at = aggregates[key], f"{at}.aggregates.{key}"
+            if ref is None:
+                _check(agg is None, agg_at, "not null, but no trial succeeded")
+                continue
+            _check(isinstance(agg, dict) and set(agg) == set(ref), agg_at,
+                   f"not an object of {', '.join(ref)}")
+            for stat, value in ref.items():
+                got = agg[stat]
+                _check(isinstance(got, (int, float))
+                       and abs(got - value) <= 1e-12 * max(1.0, abs(value)),
+                       f"{agg_at}.{stat}",
+                       "not recomputable from the trial records")
 
 
 def validate_report(report: dict) -> None:
-    """Check a report against the bundled schema; FormatError if invalid."""
-    _check(isinstance(report, dict), "not an object")
-    _check(report.get("schema") == REPORT_SCHEMA,
-           f"schema tag {report.get('schema')!r} != {REPORT_SCHEMA!r}")
+    """Check a report against the bundled schema; FormatError naming the
+    place in the report (``sweep[0].algorithms.elm.failures``) if
+    invalid."""
+    _check(isinstance(report, dict), "top level", "not an object")
+    _check(report.get("schema") == REPORT_SCHEMA, "schema",
+           f"{report.get('schema')!r} != {REPORT_SCHEMA!r}")
     _check(report.get("experiment") in ("sinc", "dataset", "sweep"),
-           f"unknown experiment {report.get('experiment')!r}")
+           "experiment", f"unknown experiment {report.get('experiment')!r}")
     env = report.get("environment")
     _check(isinstance(env, dict) and {"host", "timestamp"} <= set(env),
-           "environment note incomplete")
-    _check(isinstance(report.get("config"), dict), "config missing")
+           "environment", "host or timestamp missing")
+    _check(isinstance(report.get("config"), dict), "config", "missing")
     metric_name = report.get("metric")
-    _check(metric_name in _HIGHER_IS_BETTER,
+    _check(metric_name in _HIGHER_IS_BETTER, "metric",
            f"unknown metric {metric_name!r}")
     if report["experiment"] == "sweep":
         sweep = report.get("sweep")
-        _check(isinstance(sweep, list) and sweep, "sweep section missing")
-        for entry in sweep:
+        _check(isinstance(sweep, list) and sweep, "sweep",
+               "not a non-empty list")
+        for i, entry in enumerate(sweep):
+            _check(isinstance(entry, dict), f"sweep[{i}]", "not an object")
             _check(isinstance(entry.get("nodes"), int) and entry["nodes"] >= 1,
-                   "sweep entry without node count")
-            for section in entry["algorithms"].values():
-                _validate_section(section, metric_name)
+                   f"sweep[{i}].nodes", "not a node count")
+            _validate_algorithms(entry.get("algorithms"),
+                                 f"sweep[{i}].algorithms", metric_name)
     else:
-        algos = report.get("algorithms")
-        _check(isinstance(algos, dict) and algos, "algorithms section missing")
-        for section in algos.values():
-            _validate_section(section, metric_name)
+        _validate_algorithms(report.get("algorithms"), "algorithms",
+                             metric_name)
 
 
 def report_all_failed(report: dict) -> bool:

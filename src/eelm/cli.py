@@ -245,6 +245,11 @@ def _cmd_predict(args) -> int:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        # ELM draws its hidden layer at random: it has no anchors
+        if getattr(args, "algo", None) == "elm" and \
+                args.anchor_strategy != "random":
+            raise PreconditionError("--algo elm does not use "
+                                    "--anchor-strategy")
         return args.func(args)
     except (FormatError, ShapeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -3,10 +3,10 @@
 Matrices are plain 2-D float64 ``numpy`` arrays. Two independent routes
 to the Moore-Penrose generalized inverse are provided:
 
-* :func:`pinv_svd` — singular value decomposition with the one cutoff
-  ``max(rows, cols) * eps * sigma_max``; valid for any rank. The same
-  SVD also yields the numerical rank, so a caller that needs both pays
-  for one decomposition.
+* :func:`pinv_svd` — numpy's SVD pseudoinverse with the one cutoff
+  ``max(rows, cols) * eps * sigma_max``, valid for any rank;
+  :func:`numerical_rank` counts the singular values above it. A fit
+  takes ``A⁺B`` and the rank from one SVD without forming ``A⁺``.
 * :func:`pinv_normal` — the orthogonal-projection form ``(AᵀA)⁻¹Aᵀ``:
   LAPACK factors the Gram matrix as ``LLᵀ``, ``L⁻¹`` is inverted by
   2×2 blocks, and each row block of ``A`` is multiplied by the rows of
@@ -70,20 +70,19 @@ def _as_matrix(a, name: str) -> np.ndarray:
     return arr
 
 
-def _pinv_svd_rank(a):
-    """``(pinv_svd(a), numerical_rank(a))`` from one SVD."""
-    a = _as_matrix(a, "pinv_svd input")
+def _svd_lstsq(a: np.ndarray, b: np.ndarray):
+    """``(x, rank)`` for a finite 2-D ``a`` and 2-D ``b``: ``x = A⁺b``
+    from one SVD, without forming ``A⁺``, and the number of singular
+    values above ``max(rows, cols) * eps * sigma_max``, the only ones
+    kept: ``x = V_r ((U_rᵀb) / s_r)`` (Golub & Van Loan, *Matrix
+    Computations*, §5.5)."""
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
-    # the standard effective-rank cutoff, relative to the largest
-    # singular value
     cutoff = max(a.shape) * np.finfo(np.float64).eps * s[0]
-    inv = np.zeros_like(s)
-    keep = s > cutoff
-    inv[keep] = 1.0 / s[keep]
-    return (vt.T * inv) @ u.T, int(np.count_nonzero(keep))
+    rank = int(np.count_nonzero(s > cutoff))
+    return vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank, None]), rank
 
 
 def pinv_svd(a) -> np.ndarray:
@@ -92,12 +91,13 @@ def pinv_svd(a) -> np.ndarray:
     Singular values at or below ``max(rows, cols) * eps * sigma_max``
     are treated as zero.
     """
-    return _pinv_svd_rank(a)[0]
+    a = _as_matrix(a, "pinv_svd input")
+    return np.linalg.pinv(a, rcond=max(a.shape) * np.finfo(np.float64).eps)
 
 
 def numerical_rank(a) -> int:
     """Number of singular values above the ``pinv_svd`` cutoff."""
-    return _pinv_svd_rank(a)[1]
+    return int(np.linalg.matrix_rank(_as_matrix(a, "numerical_rank input")))
 
 
 def _cholesky(g: np.ndarray, bound: float) -> np.ndarray | None:

@@ -4,8 +4,8 @@ Two ways to obtain a model ``G(x) = sum_i beta_i * g(W_i . x + b_i)``,
 where ``g`` is the Gaussian ``exp(-z^2)`` (:func:`selection.gaussian`):
 
 * :func:`train_elm` draws hidden weights and biases uniformly at random
-  from [-1, 1] and solves for the output weights with the SVD
-  pseudoinverse (which tolerates any rank the random draw produces).
+  from [-1, 1] and takes the output weights ``H⁺T`` from an SVD of H
+  without forming ``H⁺`` (which tolerates any rank the draw produces).
 * :func:`train_eelm` constructs the hidden weights and biases from the
   data (order embedding + gain/bias selection over a set of anchor
   samples) so the hidden matrix has full column rank by construction,
@@ -99,7 +99,7 @@ class TrainReport:
     train_seconds: float
     select_seconds: float
     hidden_matrix_rank_ok: bool
-    pinv_path: str             # "svd" or "orthogonal-projection"
+    pinv_path: str  # "svd" (SVD least squares) or "orthogonal-projection"
     train_metric: float
 
 
@@ -140,18 +140,17 @@ def _fit_output_weights(data: Dataset, node_weights, biases, provenance: str,
                         seed: int, svd: bool, t0: float,
                         select_seconds: float = 0.0):
     """Phase two, the same for both algorithms: H over the training
-    inputs, the output weights by the SVD pseudoinverse (``svd``) or by
-    the Gram system, then the model and its report. ``t0`` is when
-    training started."""
+    inputs, the output weights by an SVD least-squares solve against the
+    targets (``svd``) or by the Gram system, then the model and its
+    report. ``t0`` is when training started."""
     h = build_hidden_matrix(node_weights, biases, data.inputs)
     n_hidden = h.shape[1]
     if svd:
-        pinv, rank = linalg._pinv_svd_rank(h)
+        beta, rank = linalg._svd_lstsq(h, data.targets)
         rank_ok = rank == n_hidden
     else:
-        pinv = linalg.pinv_normal(h)
+        beta = linalg.pinv_normal(h) @ data.targets
         rank_ok = True  # the Cholesky factor just certified it
-    beta = pinv @ data.targets
     train_seconds = time.perf_counter() - t0
     model = SlfnModel(data.n_features, data.n_outputs, n_hidden, node_weights,
                       biases, beta, provenance, seed=seed)
@@ -164,7 +163,7 @@ def _fit_output_weights(data: Dataset, node_weights, biases, provenance: str,
 
 
 def train_elm(data: Dataset, n_hidden: int, seed: int = 0):
-    """Random hidden layer, output weights by SVD pseudoinverse.
+    """Random hidden layer, output weights ``H⁺T`` by an SVD solve.
 
     Weights and biases are i.i.d. uniform on [-1, 1] under ``seed``; the
     same seed and data reproduce the model bit for bit. Only this draw

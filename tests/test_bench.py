@@ -2,7 +2,9 @@
 
 import copy
 import csv
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -275,6 +277,42 @@ def test_validate_report_catches_corruption():
     broken2["schema"] = "something-else/9"
     with pytest.raises(FormatError):
         validate_report(broken2)
+
+
+def _sinc_report(sweep):
+    config = ExperimentConfig(trials=2, seed=1, n_train=20, n_test=10)
+    if sweep:
+        return run_node_sweep(dataclasses.replace(config, node_sweep=(5,)))
+    return run_sinc(dataclasses.replace(config, nodes=5))
+
+
+def _elm(report):
+    return report["algorithms"]["elm"]
+
+
+@pytest.mark.parametrize("sweep, corrupt, where", [
+    (False, lambda r: _elm(r).update(trials=5), "algorithms.elm.trials"),
+    (False, lambda r: _elm(r)["aggregates"].update(train_metric=[1.0]),
+     "algorithms.elm.aggregates.train_metric"),
+    (False, lambda r: _elm(r)["aggregates"]["train_metric"].pop("std"),
+     "algorithms.elm.aggregates.train_metric"),
+    (False, lambda r: _elm(r)["aggregates"].pop("test_seconds"),
+     "algorithms.elm.aggregates"),
+    (False, lambda r: r["algorithms"].update(svm=_elm(r)), "algorithms.svm"),
+    (False, lambda r: _elm(r).update(failures=0.0), "algorithms.elm.failures"),
+    (True, lambda r: r["sweep"][0].pop("algorithms"), "sweep[0].algorithms"),
+    (True, lambda r: r["sweep"].append(5), "sweep[1]"),
+], ids=["trials-not-a-list", "aggregate-not-an-object",
+        "aggregate-without-std", "aggregate-missing", "unknown-algorithm",
+        "float-failures", "sweep-entry-without-algorithms",
+        "sweep-entry-not-an-object"])
+def test_validate_report_locates_every_malformed_part(sweep, corrupt, where):
+    report = _sinc_report(sweep)
+    validate_report(report)
+    corrupt(report)
+    with pytest.raises(FormatError, match=f"^invalid report at "
+                                          f"{re.escape(where)}: "):
+        validate_report(report)
 
 
 def test_config_validation():

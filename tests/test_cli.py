@@ -106,11 +106,10 @@ def test_train_and_predict_round_trip(tmp_path):
                       csv_schema=CsvSchema("label", CLASSIFICATION))),
     (["bench", "--csv", "d.csv", "--target", "y1", "--target", "y2",
       "--nodes", "8", "--split", "0.5", "--algo", "elm", "--trials", "4",
-      "--seed", "2", "--anchor-strategy", "first", "--out", "r.json",
-      "--plot-data", "p.csv"], "run_dataset",
+      "--seed", "2", "--out", "r.json", "--plot-data", "p.csv"],
+     "run_dataset",
      ExperimentConfig(algorithms=("elm",), nodes=8, trials=4, seed=2,
-                      split_fraction=0.5, anchor_strategy="first",
-                      csv_path="d.csv",
+                      split_fraction=0.5, csv_path="d.csv",
                       csv_schema=CsvSchema(("y1", "y2"), REGRESSION),
                       out_path="r.json", plot_path="p.csv")),
     (["sweep", "--nodes-sweep", "10,20"], "run_node_sweep",
@@ -190,6 +189,37 @@ def test_sinc_sweep_rejects_csv_flags(capsys, flags):
     assert code == 2
     assert capsys.readouterr().err == (
         f"configuration error: a sweep over sinc does not use {flags[0]}\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["sinc", "--nodes", "5", "--n-train", "10", "--n-test", "5"],
+    ["bench", "--nodes", "5"],
+    ["sweep", "--nodes-sweep", "5", "--n-train", "10", "--n-test", "5"],
+    ["train", "--nodes", "5", "--model-out", "unused.slfn"],
+])
+def test_elm_alone_rejects_anchor_strategy(tmp_path, monkeypatch, capsys,
+                                           command):
+    monkeypatch.chdir(tmp_path)
+    if command[0] in ("bench", "train"):
+        command = [*command, "--csv", str(write_toy_csv(tmp_path / "t.csv")),
+                   "--target", "label", "--task", "cls"]
+    code = main([*command, "--algo", "elm", "--anchor-strategy", "even"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "configuration error: --algo elm does not use --anchor-strategy\n")
+    assert not (tmp_path / "unused.slfn").exists()
+
+
+def test_train_svd_failure_exits_4(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    code = main(["train", "--csv", str(write_toy_csv(tmp_path / "toy.csv")),
+                 "--target", "label", "--task", "cls", "--algo", "elm",
+                 "--nodes", "5", "--model-out", str(tmp_path / "m.slfn")])
+    assert code == 4
+    assert capsys.readouterr().err.startswith(
+        "numeric failure: SVD did not converge")
 
 
 def test_exit_code_data_error(tmp_path):
