@@ -5,12 +5,13 @@ with a versioned schema: per-trial records, aggregates recomputable
 from them, and an environment note. Timing uses a monotonic clock and
 never wraps file IO; the selection phase of the constructive algorithm
 is reported separately from total training time so its cost scaling can
-be regressed against ``n_hidden * n_features``.
+be regressed against ``n_hidden * n_features``. The sinc and sweep
+runners can also write plot-ready CSV through ``datasets._write_csv``;
+the dataset runner has no plot and refuses a ``plot_path``.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 import json
@@ -22,8 +23,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .datasets import METRICS, REGRESSION, CsvSchema, Dataset, gen_sinc, \
-    load_csv, split
+from .datasets import METRICS, REGRESSION, CsvSchema, Dataset, _write_csv, \
+    gen_sinc, load_csv, split
 from .errors import (FormatError, NumericalFailure, NumericOverflowError,
                      PreconditionError, RankDeficientError)
 from .models import (ALGORITHMS, ANCHOR_STRATEGIES, predict, train_eelm,
@@ -83,6 +84,11 @@ class ExperimentConfig:
             raise PreconditionError(
                 f"unknown anchor strategy {self.anchor_strategy!r}; expected "
                 f"one of {ANCHOR_STRATEGIES}")
+        # ELM draws its hidden layer at random: it has no anchors
+        if "eelm" not in self.algorithms and self.anchor_strategy != "random":
+            raise PreconditionError(
+                f"anchor strategy {self.anchor_strategy!r} needs the eelm "
+                f"algorithm, which is not run")
         if self.nodes is not None and self.nodes < 1:
             raise PreconditionError(f"nodes must be >= 1, got {self.nodes}")
         if self.node_sweep is not None:
@@ -253,23 +259,17 @@ def run_sinc(config: ExperimentConfig) -> dict:
 
 def _write_sinc_plot(path, train_ds: Dataset, test_ds: Dataset,
                      models: dict) -> None:
-    xs = np.concatenate([train_ds.inputs[:, 0], test_ds.inputs[:, 0]])
-    ys = np.concatenate([train_ds.targets[:, 0], test_ds.targets[:, 0]])
-    columns = {"x": xs, "target": ys}
-    for algo in ALGORITHMS:
-        if algo in models:
-            pred = np.concatenate([
-                predict(models[algo], train_ds.inputs)[:, 0],
-                predict(models[algo], test_ds.inputs)[:, 0],
-            ])
-        else:
-            pred = np.full(xs.size, np.nan)
-        columns[f"{algo}_pred"] = pred
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns.keys())
-        for i in range(xs.size):
-            writer.writerow([repr(float(col[i])) for col in columns.values()])
+    # one predict per side: a call over both sides can differ from
+    # the test metric's own predictions in the last bits
+    header = ["x", "target", *(f"{algo}_pred" for algo in ALGORITHMS)]
+    rows = []
+    for ds in (train_ds, test_ds):
+        columns = [ds.inputs, ds.targets]
+        for algo in ALGORITHMS:
+            columns.append(predict(models[algo], ds.inputs) if algo in models
+                           else np.full((ds.n_samples, 1), np.nan))
+        rows += np.hstack(columns).tolist()
+    _write_csv(path, header, (map(repr, row) for row in rows))
 
 
 def _csv_source(config: ExperimentConfig):
@@ -285,6 +285,8 @@ def run_dataset(config: ExperimentConfig) -> dict:
     config.validate()
     if config.nodes is None:
         raise PreconditionError("dataset experiment needs a node count")
+    if config.plot_path:
+        raise PreconditionError("dataset experiment writes no plot data")
     data, source = _csv_source(config)
     report = _base_report("dataset", config, data.task)
     report["dataset"] = {"name": data.name, "n_samples": data.n_samples,
@@ -333,24 +335,16 @@ def run_node_sweep(config: ExperimentConfig) -> dict:
 
 
 def _write_sweep_plot(path, report: dict, config: ExperimentConfig) -> None:
-    header = ["algorithm", "nodes", "train_metric", "test_metric",
-              "train_seconds", "test_seconds", "select_seconds"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for algo in config.algorithms:
-            for entry in report["sweep"]:
-                agg = entry["algorithms"][algo]["aggregates"]
-
-                def mean_of(key):
-                    return "" if agg[key] is None else repr(agg[key]["mean"])
-
-                writer.writerow([algo, entry["nodes"],
-                                 mean_of("train_metric"),
-                                 mean_of("test_metric"),
-                                 mean_of("train_seconds"),
-                                 mean_of("test_seconds"),
-                                 mean_of("select_seconds")])
+    keys = ("train_metric", "test_metric", "train_seconds", "test_seconds",
+            "select_seconds")
+    rows = []
+    for algo in config.algorithms:
+        for entry in report["sweep"]:
+            agg = entry["algorithms"][algo]["aggregates"]
+            rows.append([algo, str(entry["nodes"]), *(
+                "" if agg[key] is None else repr(agg[key]["mean"])
+                for key in keys)])
+    _write_csv(path, ["algorithm", "nodes", *keys], rows)
 
 
 def _check(condition: bool, where: str, message: str) -> None:

@@ -18,7 +18,7 @@ import sys
 from .bench import (ExperimentConfig, _refuse_unused_source,
                     report_all_failed, run_dataset, run_node_sweep, run_sinc)
 from .datasets import (CLASSIFICATION, METRICS, REGRESSION, CsvSchema,
-                       _read_features, load_csv)
+                       _read_features, _write_csv, load_csv)
 from .errors import (FormatError, NumericalFailure, NumericOverflowError,
                      PreconditionError, RankDeficientError, ShapeError)
 from .models import (ALGORITHMS, ANCHOR_STRATEGIES, load_model, predict,
@@ -52,6 +52,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     _add_model_flags(parser)
     parser.add_argument("--out", dest="out_path", metavar="PATH",
                         help="write the JSON report here")
+
+
+def _add_plot_data(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--plot-data", dest="plot_path", metavar="PATH",
                         help="write plot-ready CSV data here")
 
@@ -99,6 +102,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=int, default=200)
     _add_sinc_source(p)
     _add_common(p)
+    _add_plot_data(p)
     p.set_defaults(func=_cmd_sinc, trials=50)
 
     p = sub.add_parser("bench", help="repeated random-split trials on a CSV")
@@ -115,6 +119,7 @@ def _parser() -> argparse.ArgumentParser:
     source_actions = [*_add_split(p), *_add_sinc_source(p),
                       *_add_csv_source(p, required=False)]
     _add_common(p)
+    _add_plot_data(p)
     p.set_defaults(func=_cmd_sweep, source_actions=source_actions)
 
     p = sub.add_parser("train", help="train one model on a CSV and save it")
@@ -232,12 +237,8 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
     scores = predict(model, _read_features(args.csv))
-    # what csv.writer writes for these cells (repr never needs quoting),
-    # in one write
-    lines = [",".join(f"pred_{k + 1}" for k in range(scores.shape[1]))]
-    lines.extend(",".join(map(repr, row)) for row in scores.tolist())
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+    _write_csv(args.out, [f"pred_{k + 1}" for k in range(scores.shape[1])],
+               (map(repr, row) for row in scores.tolist()))
     print(f"wrote {scores.shape[0]} predictions to {args.out}")
     return EXIT_OK
 

@@ -1,4 +1,9 @@
-"""Dataset handling: CSV ingestion, the sinc generator, splits, metrics."""
+"""Dataset handling: CSV reading and writing, the sinc generator, splits,
+metrics.
+
+``_read_csv`` is the one CSV reader and ``_write_csv`` the one CSV
+writer of the package (plot data and ``eelm predict`` output).
+"""
 
 from __future__ import annotations
 
@@ -125,6 +130,16 @@ def _read_csv(path) -> tuple[list[str], list[list[str]]]:
             raise FormatError(f"row has {len(row)} cells, header has {width}",
                               path=str(path), line=i)
     return header, rows
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write a header and rows of str cells as ``_read_csv`` reads them
+    and ``csv.writer`` writes them: UTF-8, comma-joined, CRLF line ends,
+    in one write. No cell may need quoting (a comma, quote or line
+    break); the package writes only names and ``repr`` of numbers."""
+    lines = [",".join(header), *map(",".join, rows)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def _numeric_cells(rows, columns, path, what: str = "cell") -> np.ndarray:

@@ -12,8 +12,9 @@ import pytest
 from eelm import bench
 from eelm.bench import (ExperimentConfig, report_all_failed, run_dataset,
                         run_node_sweep, run_sinc, validate_report)
-from eelm.datasets import CLASSIFICATION, CsvSchema, split
+from eelm.datasets import CLASSIFICATION, CsvSchema, gen_sinc, split
 from eelm.errors import FormatError, PreconditionError
+from eelm.models import predict, train_eelm, train_elm
 
 
 def write_toy_csv(path, n_per_class=20, seed=0):
@@ -28,6 +29,61 @@ def write_toy_csv(path, n_per_class=20, seed=0):
                 x2 = rng.normal(mean, 0.6)
                 fh.write(f"{x1!r},{x2!r},{label}\n")
     return path
+
+
+def write_overflow_csv(path):
+    """Ten rows whose relative attribute gaps of 1e-40 overflow the
+    embedding exponents of the constructive algorithm (at 3 nodes, on
+    every 0.8 split); the random-layer algorithm is unaffected."""
+    rows = ["x1,x2,x3,x4,x5,x6,x7,x8,y"]
+    values = [-1.0] + [k * 1e-40 for k in range(1, 10)]
+    for i, v in enumerate(values):
+        rows.append(",".join([repr(v)] * 8 + [str(i)]))
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+def write_sinc_plot_reference(path, config):
+    """The sinc plot file of ``config`` as ``csv.writer`` writes it,
+    from each algorithm's first-trial model, with one predict call per
+    side; returns each model's prediction column."""
+    train_ds, test_ds = gen_sinc(config.n_train, config.n_test, config.seed,
+                                 noise_sigma=config.noise_sigma,
+                                 test_distribution=config.test_distribution)
+    models = {}
+    if "elm" in config.algorithms:
+        models["elm"], _ = train_elm(train_ds, config.nodes, seed=config.seed)
+    if "eelm" in config.algorithms:
+        models["eelm"], _ = train_eelm(
+            train_ds, config.nodes, anchor_strategy=config.anchor_strategy,
+            seed=config.seed)
+    columns = {algo: np.concatenate([predict(models[algo], ds.inputs)[:, 0]
+                                     for ds in (train_ds, test_ds)])
+               for algo in models}
+    n = config.n_train + config.n_test
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "target", "elm_pred", "eelm_pred"])
+        xs = np.concatenate([train_ds.inputs[:, 0], test_ds.inputs[:, 0]])
+        ys = np.concatenate([train_ds.targets[:, 0], test_ds.targets[:, 0]])
+        preds = [columns.get(algo, np.full(n, np.nan))
+                 for algo in ("elm", "eelm")]
+        for row in zip(xs, ys, *preds):
+            writer.writerow([repr(float(v)) for v in row])
+    return columns
+
+
+def assert_sinc_plot(plot, reference, columns):
+    """``plot`` holds ``reference``'s bytes, and its prediction columns
+    are ``columns``."""
+    assert plot.read_bytes() == reference.read_bytes()
+    with open(plot, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert plot.read_bytes().count(b"\r\n") == len(rows)
+    written = np.array(rows[1:], dtype=np.float64)
+    for algo, column in columns.items():
+        k = rows[0].index(f"{algo}_pred")
+        assert np.array_equal(written[:, k], column)
 
 
 def centroid_accuracy(train, test):
@@ -55,6 +111,10 @@ def test_run_sinc_small(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["x", "target", "elm_pred", "eelm_pred"]
     assert len(rows) - 1 == 40 + 30
+    reference = tmp_path / "reference.csv"
+    columns = write_sinc_plot_reference(reference, config)
+    assert list(columns) == ["elm", "eelm"]
+    assert_sinc_plot(plot, reference, columns)
     assert json.loads(out.read_text())["schema"] == report["schema"]
 
 
@@ -134,6 +194,35 @@ def test_run_node_sweep_plot_rows(tmp_path):
     for algo in ("elm", "eelm"):
         mine = [r for r in body if r[0] == algo]
         assert [int(r[1]) for r in mine] == [4, 8, 12]
+
+
+def test_sweep_plot_bytes_match_csv_writer(tmp_path):
+    path = write_overflow_csv(tmp_path / "overflow.csv")
+    plot = tmp_path / "sweep.csv"
+    config = ExperimentConfig(node_sweep=(3, 7), trials=2, seed=0,
+                              split_fraction=0.8, csv_path=str(path),
+                              csv_schema=CsvSchema(target="y"),
+                              plot_path=str(plot))
+    report = run_node_sweep(config)
+    keys = ("train_metric", "test_metric", "train_seconds", "test_seconds",
+            "select_seconds")
+    reference = tmp_path / "reference.csv"
+    with open(reference, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["algorithm", "nodes", *keys])
+        for algo in ("elm", "eelm"):
+            for entry in report["sweep"]:
+                agg = entry["algorithms"][algo]["aggregates"]
+                writer.writerow([algo, entry["nodes"], *(
+                    "" if agg[key] is None else repr(agg[key]["mean"])
+                    for key in keys)])
+    assert plot.read_bytes() == reference.read_bytes()
+    assert plot.read_bytes().count(b"\r\n") == 1 + 2 * 2
+    with open(plot, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    # every EELM trial overflowed: its means are empty cells
+    assert [row[2:] for row in rows if row[0] == "eelm"] == [[""] * 5] * 2
+    assert all("" not in row for row in rows if row[0] == "elm")
 
 
 def test_run_node_sweep_on_sinc():
@@ -244,14 +333,7 @@ def test_sinc_sweep_rejects_csv_settings(fields):
 
 
 def test_eelm_failures_are_counted_not_hidden(tmp_path):
-    # relative attribute gaps of 1e-40 overflow the embedding exponents;
-    # the random-layer algorithm is unaffected
-    path = tmp_path / "overflow.csv"
-    rows = ["x1,x2,x3,x4,x5,x6,x7,x8,y"]
-    values = [-1.0] + [k * 1e-40 for k in range(1, 10)]
-    for i, v in enumerate(values):
-        rows.append(",".join([repr(v)] * 8 + [str(i)]))
-    path.write_text("\n".join(rows) + "\n")
+    path = write_overflow_csv(tmp_path / "overflow.csv")
     config = ExperimentConfig(nodes=3, trials=2, seed=0, split_fraction=0.8,
                               csv_path=str(path),
                               csv_schema=CsvSchema(target="y"))
@@ -335,3 +417,31 @@ def test_config_rejects_unknown_anchor_strategy(monkeypatch):
     with pytest.raises(PreconditionError, match="bogus"):
         run_sinc(config)
     assert fits == []
+
+
+def test_config_rejects_anchor_strategy_without_eelm(monkeypatch, tmp_path):
+    fits = counting(monkeypatch, "train_elm")
+    csv_source = dict(csv_path=str(write_toy_csv(tmp_path / "toy.csv")),
+                      csv_schema=CsvSchema("label", CLASSIFICATION))
+    for runner, fields in ((run_sinc, dict(nodes=10)),
+                           (run_dataset, dict(nodes=10, **csv_source)),
+                           (run_node_sweep, dict(node_sweep=(10,)))):
+        config = ExperimentConfig(algorithms=("elm",), trials=2,
+                                  anchor_strategy="even", **fields)
+        with pytest.raises(PreconditionError, match="'even'"):
+            runner(config)
+    assert fits == []
+    ExperimentConfig(algorithms=("eelm",), anchor_strategy="even").validate()
+
+
+def test_run_dataset_refuses_plot_data(monkeypatch, tmp_path):
+    loads = counting(monkeypatch, "load_csv")
+    plot = tmp_path / "plot.csv"
+    config = ExperimentConfig(nodes=5, trials=2,
+                              csv_path=str(write_toy_csv(tmp_path / "t.csv")),
+                              csv_schema=CsvSchema("label", CLASSIFICATION),
+                              plot_path=str(plot))
+    with pytest.raises(PreconditionError, match="plot"):
+        run_dataset(config)
+    assert loads == []
+    assert not plot.exists()

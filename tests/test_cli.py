@@ -12,7 +12,8 @@ from eelm.cli import main
 from eelm.datasets import CLASSIFICATION, REGRESSION, CsvSchema
 from eelm.models import load_model, predict
 
-from test_bench import write_toy_csv
+from test_bench import (assert_sinc_plot, write_overflow_csv,
+                        write_sinc_plot_reference, write_toy_csv)
 
 
 def test_sinc_subcommand(tmp_path):
@@ -30,11 +31,20 @@ def test_sinc_subcommand(tmp_path):
 
 def test_sinc_single_algo(tmp_path):
     out = tmp_path / "r.json"
+    plot = tmp_path / "plot.csv"
     code = main(["sinc", "--algo", "eelm", "--nodes", "20", "--n-train", "20",
-                 "--n-test", "10", "--out", str(out)])
+                 "--n-test", "10", "--out", str(out), "--plot-data",
+                 str(plot)])
     assert code == 0
     report = json.loads(out.read_text())
     assert list(report["algorithms"]) == ["eelm"]
+    # the ELM column of the plot is nan throughout
+    reference = tmp_path / "reference.csv"
+    config = ExperimentConfig(algorithms=("eelm",), nodes=20, n_train=20,
+                              n_test=10)
+    columns = write_sinc_plot_reference(reference, config)
+    assert list(columns) == ["eelm"]
+    assert_sinc_plot(plot, reference, columns)
 
 
 def test_bench_subcommand(tmp_path):
@@ -106,12 +116,12 @@ def test_train_and_predict_round_trip(tmp_path):
                       csv_schema=CsvSchema("label", CLASSIFICATION))),
     (["bench", "--csv", "d.csv", "--target", "y1", "--target", "y2",
       "--nodes", "8", "--split", "0.5", "--algo", "elm", "--trials", "4",
-      "--seed", "2", "--out", "r.json", "--plot-data", "p.csv"],
+      "--seed", "2", "--out", "r.json"],
      "run_dataset",
      ExperimentConfig(algorithms=("elm",), nodes=8, trials=4, seed=2,
                       split_fraction=0.5, csv_path="d.csv",
                       csv_schema=CsvSchema(("y1", "y2"), REGRESSION),
-                      out_path="r.json", plot_path="p.csv")),
+                      out_path="r.json")),
     (["sweep", "--nodes-sweep", "10,20"], "run_node_sweep",
      ExperimentConfig(node_sweep=(10, 20))),
     (["sweep", "--nodes-sweep", "5,", "--n-train", "50", "--n-test", "9",
@@ -141,6 +151,17 @@ def test_exit_code_bad_flags():
     with pytest.raises(SystemExit) as exc_info:
         main(["sinc", "--nodes", "not-a-number"])
     assert exc_info.value.code == 2
+
+
+def test_bench_rejects_plot_data(tmp_path, capsys):
+    plot = tmp_path / "p.csv"
+    with pytest.raises(SystemExit) as exc_info:
+        main(["bench", "--csv", str(write_toy_csv(tmp_path / "toy.csv")),
+              "--target", "label", "--task", "cls", "--nodes", "5",
+              "--trials", "2", "--plot-data", str(plot)])
+    assert exc_info.value.code == 2
+    assert "--plot-data" in capsys.readouterr().err
+    assert not plot.exists()
 
 
 def test_exit_code_config_error(tmp_path):
@@ -233,14 +254,9 @@ def test_exit_code_data_error(tmp_path):
 
 
 def test_exit_code_all_trials_numeric_failure(tmp_path):
-    # every attribute gap is 1e-40 wide, so the constructive algorithm
-    # overflows on every trial; running it alone must exit 4
-    path = tmp_path / "overflow.csv"
-    rows = ["x1,x2,x3,x4,x5,x6,x7,x8,y"]
-    values = [-1.0] + [k * 1e-40 for k in range(1, 10)]
-    for i, v in enumerate(values):
-        rows.append(",".join([repr(v)] * 8 + [str(i)]))
-    path.write_text("\n".join(rows) + "\n")
+    # the constructive algorithm overflows on every trial; running it
+    # alone must exit 4
+    path = write_overflow_csv(tmp_path / "overflow.csv")
     code = main(["bench", "--csv", str(path), "--target", "y", "--algo",
                  "eelm", "--nodes", "3", "--trials", "2", "--split", "0.8"])
     assert code == 4
