@@ -7,7 +7,9 @@ never wraps file IO; the selection phase of the constructive algorithm
 is reported separately from total training time so its cost scaling can
 be regressed against ``n_hidden * n_features``. The sinc and sweep
 runners can also write plot-ready CSV through ``datasets._write_csv``;
-the dataset runner has no plot and refuses a ``plot_path``.
+the dataset runner has no plot and refuses a ``plot_path``. Every file
+goes through ``datasets._write_text``. ``_entries`` is the one walk over
+a report's algorithm sections, at ``algorithms`` or ``sweep[i]``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import os
 import platform
 import sys
 import time
@@ -24,7 +27,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .datasets import METRICS, REGRESSION, CsvSchema, Dataset, _write_csv, \
-    gen_sinc, load_csv, split
+    _write_text, gen_sinc, load_csv, split
 from .errors import (FormatError, NumericalFailure, NumericOverflowError,
                      PreconditionError, RankDeficientError)
 from .models import (ALGORITHMS, ANCHOR_STRATEGIES, predict, train_eelm,
@@ -99,6 +102,11 @@ class ExperimentConfig:
         if not 0.0 < self.split_fraction < 1.0:
             raise PreconditionError(
                 f"split fraction must be in (0, 1), got {self.split_fraction}")
+        # refused now, not after every trial has run
+        for path in (self.out_path, self.plot_path):
+            if path and not os.path.isdir(os.path.dirname(path) or "."):
+                raise PreconditionError(
+                    f"cannot write {path}: its directory does not exist")
 
 
 def _environment() -> dict:
@@ -158,40 +166,21 @@ def _aggregate(records: list[dict], metric_name: str) -> dict:
     return out
 
 
-def _algo_section(records: list[dict], metric_name: str) -> dict:
-    return {
-        "trials": records,
-        "aggregates": _aggregate(records, metric_name),
-        "failures": sum(1 for r in records if r["error"] is not None),
-    }
-
-
-def _config_dict(config: ExperimentConfig) -> dict:
-    raw = dataclasses.asdict(config)
-    raw["algorithms"] = list(config.algorithms)
-    if config.node_sweep is not None:
-        raw["node_sweep"] = list(config.node_sweep)
-    return raw
-
-
 def _base_report(experiment: str, config: ExperimentConfig,
                  task: str) -> dict:
     return {
         "schema": REPORT_SCHEMA,
         "experiment": experiment,
         "environment": _environment(),
-        "config": _config_dict(config),
+        "config": dataclasses.asdict(config),
         "metric": METRICS[task][0],
-        "algorithms": {},
     }
 
 
 def _finish(report: dict, config: ExperimentConfig) -> dict:
     validate_report(report)
     if config.out_path:
-        with open(config.out_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        _write_text(config.out_path, json.dumps(report, indent=2) + "\n")
     return report
 
 
@@ -229,7 +218,9 @@ def _run_trials(config: ExperimentConfig, node_counts, source,
                 by_algo[algo].append(record)
                 if model is not None:
                     fitted.setdefault(algo, model)
-    return [({algo: _algo_section(recs, metric_name)
+    return [({algo: {"trials": recs,
+                     "aggregates": _aggregate(recs, metric_name),
+                     "failures": sum(r["error"] is not None for r in recs)}
               for algo, recs in by_algo.items()}, fitted)
             for by_algo, fitted in results]
 
@@ -289,9 +280,9 @@ def run_dataset(config: ExperimentConfig) -> dict:
         raise PreconditionError("dataset experiment writes no plot data")
     data, source = _csv_source(config)
     report = _base_report("dataset", config, data.task)
+    [(report["algorithms"], _)] = _run_trials(config, (config.nodes,), source)
     report["dataset"] = {"name": data.name, "n_samples": data.n_samples,
                          "n_features": data.n_features, "task": data.task}
-    [(report["algorithms"], _)] = _run_trials(config, (config.nodes,), source)
     return _finish(report, config)
 
 
@@ -325,7 +316,6 @@ def run_node_sweep(config: ExperimentConfig) -> dict:
     else:
         task, source = REGRESSION, functools.partial(_sinc_data, config)
     report = _base_report("sweep", config, task)
-    del report["algorithms"]
     results = _run_trials(config, config.node_sweep, source)
     report["sweep"] = [{"nodes": n, "algorithms": sections}
                        for n, (sections, _) in zip(config.node_sweep, results)]
@@ -345,6 +335,17 @@ def _write_sweep_plot(path, report: dict, config: ExperimentConfig) -> None:
                 "" if agg[key] is None else repr(agg[key]["mean"])
                 for key in keys)])
     _write_csv(path, ["algorithm", "nodes", *keys], rows)
+
+
+def _entries(report: dict) -> list:
+    """(place, node count, algorithm sections) of each comparison in a
+    report; a missing part reads as None, for ``validate_report``."""
+    if report["experiment"] == "sweep":
+        return [(f"sweep[{i}].algorithms", entry["nodes"],
+                 entry.get("algorithms"))
+                for i, entry in enumerate(report["sweep"])]
+    return [("algorithms", report["config"].get("nodes"),
+             report.get("algorithms"))]
 
 
 def _check(condition: bool, where: str, message: str) -> None:
@@ -422,21 +423,13 @@ def validate_report(report: dict) -> None:
             _check(isinstance(entry, dict), f"sweep[{i}]", "not an object")
             _check(isinstance(entry.get("nodes"), int) and entry["nodes"] >= 1,
                    f"sweep[{i}].nodes", "not a node count")
-            _validate_algorithms(entry.get("algorithms"),
-                                 f"sweep[{i}].algorithms", metric_name)
-    else:
-        _validate_algorithms(report.get("algorithms"), "algorithms",
-                             metric_name)
+    for where, _, algos in _entries(report):
+        _validate_algorithms(algos, where, metric_name)
 
 
 def report_all_failed(report: dict) -> bool:
     """True when every trial of every algorithm (at every node count)
     ended in a numeric failure."""
-    sections = []
-    if report["experiment"] == "sweep":
-        for entry in report["sweep"]:
-            sections.extend(entry["algorithms"].values())
-    else:
-        sections.extend(report["algorithms"].values())
     return all(section["failures"] == len(section["trials"])
-               for section in sections)
+               for _, _, algos in _entries(report)
+               for section in algos.values())

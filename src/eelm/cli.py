@@ -15,7 +15,7 @@ import argparse
 import dataclasses
 import sys
 
-from .bench import (ExperimentConfig, _refuse_unused_source,
+from .bench import (ExperimentConfig, _entries, _refuse_unused_source,
                     report_all_failed, run_dataset, run_node_sweep, run_sinc)
 from .datasets import (CLASSIFICATION, METRICS, REGRESSION, CsvSchema,
                        _read_features, _write_csv, load_csv)
@@ -163,25 +163,18 @@ def _config(args, **fields) -> ExperimentConfig:
 
 def _print_summary(report: dict) -> None:
     metric = report["metric"]
-    if report["experiment"] == "sweep":
-        for entry in report["sweep"]:
-            for algo, section in entry["algorithms"].items():
-                agg = section["aggregates"]["test_metric"]
-                shown = "all trials failed" if agg is None else \
-                    f"test {metric} mean {agg['mean']:.6g}"
-                print(f"nodes={entry['nodes']:>4} {algo:>4}: {shown} "
-                      f"({section['failures']} failures)")
-        return
-    for algo, section in report["algorithms"].items():
-        agg = section["aggregates"]
-        if agg["test_metric"] is None:
-            print(f"{algo:>4}: all {len(section['trials'])} trials failed")
-            continue
-        print(f"{algo:>4}: train {metric} {agg['train_metric']['mean']:.6g}, "
-              f"test {metric} {agg['test_metric']['mean']:.6g}, "
-              f"train {agg['train_seconds']['mean']:.4g}s over "
-              f"{len(section['trials'])} trial(s), "
-              f"{section['failures']} failure(s)")
+    for _, nodes, algos in _entries(report):
+        for algo, section in algos.items():
+            agg, trials = section["aggregates"], len(section["trials"])
+            if agg["test_metric"] is None:
+                shown = f"all {trials} trials failed"
+            else:
+                shown = (f"train {metric} {agg['train_metric']['mean']:.6g}, "
+                         f"test {metric} {agg['test_metric']['mean']:.6g}, "
+                         f"train {agg['train_seconds']['mean']:.4g}s over "
+                         f"{trials} trial(s), {section['failures']} "
+                         f"failure(s)")
+            print(f"nodes={nodes:>4} {algo:>4}: {shown}")
 
 
 def _finish_bench(report: dict) -> int:

@@ -1,8 +1,9 @@
-"""Dataset handling: CSV reading and writing, the sinc generator, splits,
-metrics.
+"""Dataset handling: CSV reading, file writing, the sinc generator,
+splits, metrics.
 
-``_read_csv`` is the one CSV reader and ``_write_csv`` the one CSV
-writer of the package (plot data and ``eelm predict`` output).
+``_read_csv`` is the one CSV reader and ``_write_text`` the one file
+writer of the package: CSV through ``_write_csv`` (plot data and
+``eelm predict`` output), JSON reports and model files.
 """
 
 from __future__ import annotations
@@ -101,7 +102,6 @@ class CsvSchema:
 
     target: str | tuple[str, ...]
     task: str = REGRESSION
-    name: str = ""
 
     @property
     def target_columns(self) -> tuple[str, ...]:
@@ -132,14 +132,24 @@ def _read_csv(path) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 in one write, its line ends
+    as given. A path that cannot be written is a FormatError, as one
+    that cannot be read is."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FormatError(f"cannot write: {exc}", path=str(path)) from exc
+
+
 def _write_csv(path, header, rows) -> None:
     """Write a header and rows of str cells as ``_read_csv`` reads them
-    and ``csv.writer`` writes them: UTF-8, comma-joined, CRLF line ends,
-    in one write. No cell may need quoting (a comma, quote or line
-    break); the package writes only names and ``repr`` of numbers."""
+    and ``csv.writer`` writes them: comma-joined, CRLF line ends. No
+    cell may need quoting (a comma, quote or line break); the package
+    writes only names and ``repr`` of numbers."""
     lines = [",".join(header), *map(",".join, rows)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+    _write_text(path, "\r\n".join(lines) + "\r\n")
 
 
 def _numeric_cells(rows, columns, path, what: str = "cell") -> np.ndarray:
@@ -211,7 +221,7 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
         raise FormatError("no data rows", path=str(path))
 
     feats = _numeric_cells(rows, feat_idx, path)
-    name = schema.name or str(path)
+    name = str(path)
     if schema.task == REGRESSION:
         targets = _numeric_cells(rows, tgt_idx, path, "target cell")
         return Dataset(name, REGRESSION, feats, targets)

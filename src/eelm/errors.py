@@ -50,7 +50,7 @@ class NumericOverflowError(OverflowError):
 
 
 class FormatError(ValueError):
-    """A file (CSV, model, report) is malformed.
+    """A file (CSV, model, report) is malformed, unreadable or unwritable.
 
     Carries whatever location information is available: ``path``,
     ``line`` (1-based), ``column`` (1-based) and ``offset`` (byte offset

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .datasets import METRICS, Dataset
+from .datasets import METRICS, Dataset, _write_text
 from .errors import (FormatError, NumericOverflowError, PreconditionError,
                      ShapeError)
 from .ordering import _sorted_weights, invlex_sort_indices
@@ -278,7 +278,8 @@ def _format_row(values) -> str:
 
 
 def save_model(model: SlfnModel, path) -> None:
-    """Write the model as a versioned text document (bit-exact floats)."""
+    """Write the model as a versioned text document (bit-exact floats);
+    FormatError when ``path`` cannot be written."""
     lines = [
         MODEL_FORMAT,
         f"provenance {model.provenance}",
@@ -295,8 +296,7 @@ def save_model(model: SlfnModel, path) -> None:
     lines.append("output_weights")
     lines.extend(_format_row(row) for row in model.output_weights)
     lines.append("end")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _line(lines: list, pos: int, what: str, path: str) -> tuple[int, str]:

@@ -408,6 +408,15 @@ def test_config_validation():
         ExperimentConfig(nodes=10, split_fraction=1.0).validate()
     with pytest.raises(PreconditionError):
         run_dataset(ExperimentConfig(nodes=5))  # no csv source
+    for fields in (dict(algorithms=()), dict(nodes=0), dict(node_sweep=()),
+                   dict(node_sweep=(4, 0))):
+        with pytest.raises(PreconditionError):
+            ExperimentConfig(**fields).validate()
+    with pytest.raises(PreconditionError, match="node count"):
+        run_dataset(ExperimentConfig(csv_path="d.csv",
+                                     csv_schema=CsvSchema("y")))
+    with pytest.raises(PreconditionError, match="node_sweep"):
+        run_node_sweep(ExperimentConfig(nodes=5))
 
 
 def test_config_rejects_unknown_anchor_strategy(monkeypatch):
@@ -445,3 +454,25 @@ def test_run_dataset_refuses_plot_data(monkeypatch, tmp_path):
         run_dataset(config)
     assert loads == []
     assert not plot.exists()
+
+
+def test_missing_output_directory_fails_before_any_fit(monkeypatch,
+                                                       tmp_path):
+    fits = counting(monkeypatch, "train_elm")
+    loads = counting(monkeypatch, "load_csv")
+    missing = tmp_path / "missing"
+    csv_source = dict(csv_path=str(write_toy_csv(tmp_path / "toy.csv")),
+                      csv_schema=CsvSchema("label", CLASSIFICATION))
+    for runner, fields, output in (
+            (run_sinc, dict(nodes=10), "out_path"),
+            (run_sinc, dict(nodes=10), "plot_path"),
+            (run_dataset, dict(nodes=10, **csv_source), "out_path"),
+            (run_node_sweep, dict(node_sweep=(10,), **csv_source),
+             "out_path"),
+            (run_node_sweep, dict(node_sweep=(10,)), "plot_path")):
+        path = str(missing / "out.file")
+        config = ExperimentConfig(trials=2, **fields, **{output: path})
+        with pytest.raises(PreconditionError, match="directory"):
+            runner(config)
+    assert fits == [] and loads == []
+    assert not missing.exists()

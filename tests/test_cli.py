@@ -357,3 +357,27 @@ def test_train_non_finite_cell_is_a_data_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("data error:")
     assert "line=2, column=2" in err
+
+
+def test_unwritable_output_exit_codes(tmp_path, capsys):
+    model_path = _trained_model(tmp_path)
+    features = tmp_path / "features.csv"
+    features.write_text("x1,x2\n1,2\n")
+    missing = tmp_path / "missing"
+    capsys.readouterr()
+    # train and predict lose one fit or one prediction: a data error
+    for argv in (["predict", "--model", str(model_path), "--csv",
+                  str(features), "--out", str(missing / "p.csv")],
+                 ["train", "--csv", str(tmp_path / "toy.csv"), "--target",
+                  "label", "--task", "cls", "--nodes", "5", "--model-out",
+                  str(missing / "m.slfn")]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: cannot write: ")
+        assert f"path={missing}" in err
+    # an experiment refuses the path before its trials
+    assert main(["sinc", "--nodes", "20", "--n-train", "40", "--n-test",
+                 "20", "--trials", "2", "--out",
+                 str(missing / "r.json")]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+    assert not missing.exists()

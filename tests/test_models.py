@@ -427,6 +427,31 @@ def test_model_file_truncation(tmp_path):
         load_model(clipped)
 
 
+def test_model_file_cut_before_a_section_reports_its_end(tmp_path):
+    rng = np.random.default_rng(14)
+    model, _ = train_elm(regression_data(rng, 10, 2), 3, seed=1)
+    path = tmp_path / "model.slfn"
+    save_model(model, path)
+    text = path.read_text()
+    clipped = tmp_path / "clipped.slfn"
+    clipped.write_text(text[:text.index("node_weights")])
+    with pytest.raises(FormatError, match="file truncated while reading "
+                                          "node_weights") as exc_info:
+        load_model(clipped)
+    assert exc_info.value.offset == clipped.stat().st_size
+
+
+def test_model_without_seed_round_trips(tmp_path):
+    model = _random_model(np.random.default_rng(15), 4)
+    assert model.seed is None
+    path = tmp_path / "model.slfn"
+    save_model(model, path)
+    assert "seed none" in path.read_text().splitlines()
+    loaded = load_model(path)
+    assert loaded.seed is None
+    assert np.array_equal(loaded.output_weights, model.output_weights)
+
+
 def test_model_file_version_mismatch(tmp_path):
     path = tmp_path / "model.slfn"
     path.write_text("slfn-model/9\n")
@@ -454,11 +479,15 @@ def test_model_file_bad_value_reports_offset(tmp_path):
     assert exc_info.value.offset == expected
 
 
-# a bad seed, an unknown provenance, a hex float too large for float64
-# and an infinite or NaN weight (float.fromhex reads both) are each
-# reported as a FormatError at their own line
+# a bad seed, an unknown provenance, a hex float too large for float64,
+# an infinite or NaN weight (float.fromhex reads both), a dimension
+# below 1, a misspelt key and a misspelt section are each reported as
+# a FormatError at their own line
 @pytest.mark.parametrize("near, shift, replacement", [
     ("seed 1", 0, "seed x"),
+    ("input_dim 2", 0, "input_dim 0"),
+    ("seed 1", 0, "sed 1"),
+    ("biases", 0, "bias"),
     ("provenance elm", 0, "provenance svm"),
     ("end", -1, "0x1p99999"),
     ("node_weights", 1, "0x1p0 inf"),
