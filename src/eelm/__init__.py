@@ -1,7 +1,7 @@
 """Single-hidden-layer feedforward networks, two ways.
 
 ``train_elm`` draws the hidden layer at random and solves the output
-weights through an SVD pseudoinverse; ``train_eelm`` constructs the
+weights by an SVD least-squares solve; ``train_eelm`` constructs the
 hidden layer from the training samples (an order-preserving affine
 embedding plus per-node gain/bias selection) so that the hidden-layer
 output matrix is provably full column rank and the faster

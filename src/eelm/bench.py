@@ -103,8 +103,11 @@ class ExperimentConfig:
             raise PreconditionError(
                 f"split fraction must be in (0, 1), got {self.split_fraction}")
         # refused now, not after every trial has run
-        for path in (self.out_path, self.plot_path):
-            if path and not os.path.isdir(os.path.dirname(path) or "."):
+        for path in filter(None, (self.out_path, self.plot_path)):
+            if os.path.isdir(path):
+                raise PreconditionError(
+                    f"cannot write {path}: it is a directory")
+            if not os.path.isdir(os.path.dirname(path) or "."):
                 raise PreconditionError(
                     f"cannot write {path}: its directory does not exist")
 

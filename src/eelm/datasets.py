@@ -20,7 +20,7 @@ from .errors import FormatError, PreconditionError, ShapeError
 __all__ = [
     "REGRESSION", "CLASSIFICATION", "Dataset", "CsvSchema", "load_csv",
     "sinc", "gen_sinc", "split", "rmse", "classification_rate", "METRICS",
-    "one_hot_encode", "minmax_scale",
+    "minmax_scale",
 ]
 
 REGRESSION = "regression"
@@ -82,7 +82,7 @@ class Dataset:
         return self.targets.shape[1]
 
 
-def one_hot_encode(labels: Sequence[str]):
+def _one_hot_encode(labels: Sequence[str]):
     """Map labels to one-hot rows; classes ordered by first appearance."""
     classes: list[str] = []
     index: dict[str, int] = {}
@@ -226,7 +226,7 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
         targets = _numeric_cells(rows, tgt_idx, path, "target cell")
         return Dataset(name, REGRESSION, feats, targets)
     labels = [row[tgt_idx[0]].strip() for row in rows]
-    onehot, classes = one_hot_encode(labels)
+    onehot, classes = _one_hot_encode(labels)
     if len(classes) < 2:
         raise FormatError("classification needs at least two distinct labels",
                           path=str(path))

@@ -4,8 +4,9 @@ Two ways to obtain a model ``G(x) = sum_i beta_i * g(W_i . x + b_i)``,
 where ``g`` is the Gaussian ``exp(-z^2)`` (:func:`selection.gaussian`):
 
 * :func:`train_elm` draws hidden weights and biases uniformly at random
-  from [-1, 1] and takes the output weights ``H⁺T`` from an SVD of H
-  without forming ``H⁺`` (which tolerates any rank the draw produces).
+  from [-1, 1] and takes the output weights ``H⁺T`` from an SVD,
+  without forming ``H⁺`` (which tolerates any rank the draw produces);
+  one QR of ``[H | T]`` first reduces a tall H to its small R factor.
 * :func:`train_eelm` constructs the hidden weights and biases from the
   data (order embedding + gain/bias selection over a set of anchor
   samples) so the hidden matrix has full column rank by construction,
@@ -168,6 +169,10 @@ def train_elm(data: Dataset, n_hidden: int, seed: int = 0):
     Weights and biases are i.i.d. uniform on [-1, 1] under ``seed``; the
     same seed and data reproduce the model bit for bit. Only this draw
     is ELM's own: the rest is the phase two :func:`train_eelm` shares.
+    With at least twice as many samples as nodes, the solve takes R
+    from one QR of ``[H | T]`` and the SVD of R's leading ``n_hidden``
+    × ``n_hidden`` block only, which has H's singular values: no
+    samples × nodes factor beyond H is built.
     Returns ``(SlfnModel, TrainReport)``.
     """
     _check_train_args(n_hidden, data.n_samples)

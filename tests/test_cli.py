@@ -12,7 +12,7 @@ from eelm.cli import main
 from eelm.datasets import CLASSIFICATION, REGRESSION, CsvSchema
 from eelm.models import load_model, predict
 
-from test_bench import (assert_sinc_plot, write_overflow_csv,
+from test_bench import (assert_sinc_plot, counting, write_overflow_csv,
                         write_sinc_plot_reference, write_toy_csv)
 
 
@@ -381,3 +381,18 @@ def test_unwritable_output_exit_codes(tmp_path, capsys):
                  str(missing / "r.json")]) == 2
     assert capsys.readouterr().err.startswith("configuration error: ")
     assert not missing.exists()
+
+
+def test_output_naming_a_directory_fails_before_any_fit(monkeypatch,
+                                                        tmp_path, capsys):
+    fits = counting(monkeypatch, "train_elm")
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    for flag in ("--out", "--plot-data"):
+        assert main(["sinc", "--nodes", "20", "--n-train", "40", "--n-test",
+                     "20", "--trials", "2", flag, str(adir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert "is a directory" in err
+    assert fits == []
+    assert list(adir.iterdir()) == []

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from eelm.datasets import (CLASSIFICATION, REGRESSION, CsvSchema, Dataset,
-                           classification_rate, gen_sinc, load_csv,
-                           minmax_scale, one_hot_encode, rmse, sinc, split)
+                           _one_hot_encode, classification_rate, gen_sinc,
+                           load_csv, minmax_scale, rmse, sinc, split)
 from eelm.errors import FormatError, PreconditionError, ShapeError
 
 
@@ -112,7 +112,7 @@ def test_load_csv_multi_target_regression(tmp_path):
 
 def test_one_hot_round_trip():
     labels = ["red", "blue", "red", "green", "blue"]
-    rows, classes = one_hot_encode(labels)
+    rows, classes = _one_hot_encode(labels)
     assert classes == ["red", "blue", "green"]
 
 

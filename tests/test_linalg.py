@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from eelm.datasets import gen_sinc
 from eelm.errors import PreconditionError, RankDeficientError, ShapeError
-from eelm.linalg import (PINV_BLOCK_CELLS, _row_blocks, _tri_inv,
+from eelm.linalg import (PINV_BLOCK_CELLS, _row_blocks, _svd_lstsq, _tri_inv,
                          numerical_rank, pinv_normal, pinv_svd,
                          strict_dominance_report)
-from eelm.models import build_hidden_matrix, select_hidden_layer
+from eelm.models import build_hidden_matrix, select_hidden_layer, train_elm
+
+EPS = np.finfo(np.float64).eps
 
 
 def penrose_residuals(a, x):
@@ -220,6 +223,68 @@ def test_pinv_svd_penrose_on_rank_deficient():
         assert r2 <= 1e-8 * scale_x
         assert r3 <= 1e-8 * max(1.0, scale_a * scale_x)
         assert r4 <= 1e-8 * max(1.0, scale_a * scale_x)
+
+
+def lstsq_cases():
+    # ELM's H on the 200-point sinc grid with 200 nodes, drawn as
+    # train_elm draws it under seed 3, has numerical rank 53
+    sinc, _ = gen_sinc(200, 10, seed=0)
+    rng = np.random.default_rng(3)
+    sinc_h = build_hidden_matrix(rng.uniform(-1.0, 1.0, (200, 1)),
+                                 rng.uniform(-1.0, 1.0, 200), sinc.inputs)
+    rng = np.random.default_rng(41)
+    tall = rng.uniform(-1.0, 1.0, (300, 20))
+    labels = rng.integers(0, 2, 300)
+    zero_col = np.column_stack([rng.uniform(-1.0, 1.0, 300), np.zeros(300)])
+    return {
+        "sinc-rank-deficient": (sinc_h, sinc.targets),
+        "tall-full-rank": (tall, rng.uniform(-1.0, 1.0, (300, 1))),
+        "square": (rng.uniform(-1.0, 1.0, (50, 50)),
+                   rng.uniform(-1.0, 1.0, (50, 1))),
+        "one-hot": (tall, np.eye(2)[labels]),
+        "all-zero-column": (tall, zero_col),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(lstsq_cases()))
+def test_svd_lstsq_matches_the_pseudoinverse(case):
+    h, y = lstsq_cases()[case]
+    beta, rank = _svd_lstsq(h, y)
+    ref = pinv_svd(h) @ y
+    assert rank == numerical_rank(h)
+    assert (rank < h.shape[1]) == (case == "sinc-rank-deficient")
+    assert beta.shape == ref.shape == (h.shape[1], y.shape[1])
+    # rounding moves the minimum-norm solution by about
+    # max(rows, cols) * eps * kappa of its size, kappa = s_1 / s_rank
+    # (a bound that says little on the rank-deficient H, whose kappa is
+    # near 1 / (rows * eps): there the residual below carries the check)
+    s = np.linalg.svd(h, compute_uv=False)
+    tol = 10 * max(h.shape) * EPS * s[0] / s[rank - 1]
+    assert np.abs(beta - ref).max() <= tol * np.abs(ref).max()
+    # and fits the targets at least as closely as the formed H⁺ does
+    resid = np.abs(h @ beta - y).max(axis=0)
+    slack = 10 * max(h.shape) * EPS * np.abs(y).max()
+    assert (resid <= np.abs(h @ ref - y).max(axis=0) + slack).all()
+    # a target column of zeros gives exactly zero weights
+    zero = ~y.any(axis=0)
+    assert np.array_equal(beta[:, zero], np.zeros((h.shape[1], zero.sum())))
+
+
+def test_svd_lstsq_decomposes_only_a_square_block(monkeypatch):
+    # no rows x cols U: of a tall H, the SVD sees only the cols x cols R
+    # of [H | Y]
+    seen = []
+    real = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.shape(a))
+        return real(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    train, _ = gen_sinc(300, 10, seed=1)
+    train_elm(train, 40, seed=2)
+    h, y = lstsq_cases()["one-hot"]
+    _svd_lstsq(h, y)
+    assert seen == [(40, 40), (20, 20)]
 
 
 def test_numerical_rank():
