@@ -107,9 +107,13 @@ class ExperimentConfig:
             if os.path.isdir(path):
                 raise PreconditionError(
                     f"cannot write {path}: it is a directory")
-            if not os.path.isdir(os.path.dirname(path) or "."):
+            folder = os.path.dirname(path) or "."
+            if not os.path.isdir(folder):
                 raise PreconditionError(
                     f"cannot write {path}: its directory does not exist")
+            if not os.access(folder, os.W_OK | os.X_OK):
+                raise PreconditionError(
+                    f"cannot write {path}: its directory is not writable")
 
 
 def _environment() -> dict:

@@ -22,6 +22,11 @@ rounded *up* because the separation guarantee needs
 float64 can represent are a hard error carrying the offending attribute
 index — the weights silently becoming infinity would poison everything
 downstream.
+
+This module is the one validator of anchor samples, at every d: bad
+samples are a PreconditionError, and sound ones whose projections still
+do not increase strictly in float64 a NumericOverflowError naming the
+deciding attribute.
 """
 
 from __future__ import annotations
@@ -86,15 +91,17 @@ class OrderEmbedding:
 
 def _check_samples(x: np.ndarray) -> None:
     """PreconditionError unless the rows of ``x`` (n x d) are finite,
-    none all-zero, pairwise distinct and ascending in inverse-lex order.
+    pairwise distinct, ascending in inverse-lex order and, for d >= 2,
+    none all-zero.
 
     Each adjacent pair is decided by its highest non-zero difference; a
     pair with none is a duplicate. A sum of absolute values is zero
-    exactly when every term is, so the all-zero test is exact too.
+    exactly when every term is, so the all-zero test is exact too. The
+    identity weight of d = 1 admits a 0.0 sample.
     """
     if not np.isfinite(x).all():
         raise PreconditionError("samples contain non-finite entries")
-    if not (np.abs(x) @ np.ones(x.shape[1]) > 0.0).all():
+    if x.shape[1] > 1 and not (np.abs(x) @ np.ones(x.shape[1]) > 0.0).all():
         raise PreconditionError("the all-zero sample is not allowed")
     diffs = x[1:] - x[:-1]
     last = x.shape[1] - 1 - np.argmax(diffs[:, ::-1] != 0.0, axis=1)
@@ -106,9 +113,10 @@ def _check_samples(x: np.ndarray) -> None:
 
 
 def _construct(x: np.ndarray) -> OrderEmbedding:
-    """The embedding of the samples ``x`` (n >= 1, d >= 2), after
-    :func:`_check_samples` has accepted them."""
-    _check_samples(x)
+    """The embedding of the samples ``x`` (n >= 1, d >= 2) that
+    :func:`_check_samples` has accepted, checked to make ``x @ weights``
+    strictly increasing in float64 as :func:`selection.select_weights`
+    tests it."""
     # work attribute-major: per-attribute reductions then run along the
     # contiguous axis instead of through per-row reduction machinery
     n, d = x.shape
@@ -134,6 +142,14 @@ def _construct(x: np.ndarray) -> OrderEmbedding:
         raise NumericOverflowError(
             f"attribute {j}: cumulative exponent {cum[j]:.1f} makes the "
             f"weight unrepresentable in float64", attribute=j)
+    proj = x @ weights
+    rising = proj[1:] - proj[:-1] > 0.0
+    if not rising.all():
+        i = int(np.flatnonzero(~rising)[0])
+        j = int(np.flatnonzero(x[i + 1] != x[i])[-1])
+        raise NumericOverflowError(
+            f"attribute {j}: it decides sorted samples {i} and {i + 1}, "
+            f"whose projections do not increase in float64", attribute=j)
     return OrderEmbedding(dim=d, scale1=scale1, diffs_min=diffs_min,
                           delta=delta, exponents=exponents, weights=weights)
 
@@ -144,7 +160,9 @@ def build_embedding(samples) -> OrderEmbedding:
     Requires n >= 2 samples of dimension d >= 2, pairwise distinct,
     sorted ascending in inverse-lex order (as :func:`invlex_sort_indices`
     sorts them), and no all-zero sample.
-    The returned weights make ``samples @ weights`` strictly increasing.
+    The returned weights make ``samples @ weights`` strictly increasing
+    in float64; where they cannot, NumericOverflowError names the
+    attribute that decides the first failing pair.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2:
@@ -155,17 +173,20 @@ def build_embedding(samples) -> OrderEmbedding:
     if d < 2:
         raise PreconditionError(
             f"need dimension >= 2, got {d} (use embed_or_identity for d=1)")
+    _check_samples(x)
     return _construct(x)
 
 
 def embed_or_identity(samples) -> np.ndarray:
     """Embedding weights for samples in any order, or (1,) for d = 1.
 
-    One-dimensional inputs need no embedding: the identity weight 1
-    already makes projections follow the scalar order. For d >= 2 a copy
-    is sorted into inverse-lex order and the construction runs on that;
-    since it only ever sees the sorted copy, the result is invariant
-    under permutation of the input. Produces exactly the weights
+    A copy is sorted into inverse-lex order and checked as
+    :func:`build_embedding` checks it, except that at d = 1 a 0.0 sample
+    is allowed. One-dimensional inputs then need no embedding: the
+    identity weight 1 already makes projections follow the scalar order.
+    For d >= 2 the construction runs on the sorted copy; since it only
+    ever sees that, the result is invariant under permutation of the
+    input. Produces exactly the weights
     :func:`build_embedding` would on the pre-sorted samples.
     """
     x = np.asarray(samples, dtype=np.float64)
@@ -177,8 +198,10 @@ def embed_or_identity(samples) -> np.ndarray:
 
 
 def _sorted_weights(xs: np.ndarray) -> np.ndarray:
-    """Embedding weights of invlex-sorted samples: the identity (1,) for
-    d = 1, the validated construction for d >= 2."""
+    """Embedding weights of invlex-sorted samples that
+    :func:`_check_samples` accepts: the identity (1,) for d = 1, the
+    construction for d >= 2."""
+    _check_samples(xs)
     if xs.shape[1] == 1:
         return np.ones(1)
     return _construct(xs).weights

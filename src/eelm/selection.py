@@ -9,6 +9,10 @@ this pushes every off-diagonal entry of the anchor activation matrix
 below 1/n0^2 while the bias construction pins each diagonal entry at
 the peak: the matrix is strictly diagonally dominant (in the strong,
 whole-matrix sense) and therefore nonsingular.
+
+The anchors themselves are judged in :mod:`ordering`, at every d.
+:func:`select_weights` tests only its inputs' projections and, of what
+it computes, the biases.
 """
 
 from __future__ import annotations
@@ -135,8 +139,9 @@ def select_weights(anchors, weights) -> SelectionParams:
         node_weights = gains[:, None] * w[None, :]
         # the peak is at 0; 0.0 - v, unlike -v, gives a zero bias as +0.0
         biases = 0.0 - row_dot(node_weights, x)
-    if not (np.isfinite(gains).all() and np.isfinite(node_weights).all()
-            and np.isfinite(biases).all()):
+    # x and w are finite here, so an infinite gain or node weight leaves
+    # its bias non-finite: inf * 0 is NaN, a sum with inf is not finite
+    if not np.isfinite(biases).all():
         raise NumericOverflowError(
             "selection overflowed float64 (nearly duplicate projections?)")
     return SelectionParams(dist=dist, gains=gains, node_weights=node_weights,

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -396,3 +397,42 @@ def test_output_naming_a_directory_fails_before_any_fit(monkeypatch,
         assert "is a directory" in err
     assert fits == []
     assert list(adir.iterdir()) == []
+
+
+def test_output_in_an_unwritable_directory_fails_before_any_fit(
+        monkeypatch, tmp_path, capsys):
+    # os.access stands in for mode bits, which a superuser ignores
+    fits = counting(monkeypatch, "train_elm")
+    reads = counting(monkeypatch, "load_csv")
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    real_access = os.access
+    monkeypatch.setattr(os, "access", lambda path, mode, **kwargs: (
+        os.fspath(path) != str(locked) and real_access(path, mode, **kwargs)))
+    toy = str(write_toy_csv(tmp_path / "toy.csv"))
+    for argv in (["sinc", "--nodes", "20", "--n-train", "40", "--n-test",
+                  "20", "--trials", "2", "--out", str(locked / "r.json")],
+                 ["sinc", "--nodes", "20", "--n-train", "40", "--n-test",
+                  "20", "--trials", "2", "--plot-data",
+                  str(locked / "p.csv")],
+                 ["bench", "--csv", toy, "--target", "label", "--task", "cls",
+                  "--nodes", "5", "--out", str(locked / "r.json")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert "is not writable" in err
+    assert fits == [] and reads == []
+    assert list(locked.iterdir()) == []
+
+
+def test_train_on_integer_data_beyond_float64_exits_4(tmp_path, capsys):
+    x = np.random.default_rng(0).integers(1, 4, (500, 64))
+    path = tmp_path / "ints.csv"
+    header = ",".join([f"x{j}" for j in range(64)] + ["y"])
+    np.savetxt(path, np.c_[x, x.sum(axis=1)], fmt="%d", delimiter=",",
+               header=header, comments="")
+    assert main(["train", "--csv", str(path), "--target", "y", "--nodes",
+                 "50", "--model-out", str(tmp_path / "m.slfn")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: attribute ")
+    assert not (tmp_path / "m.slfn").exists()

@@ -16,6 +16,7 @@ from eelm import models
 from eelm.models import (PREDICT_BLOCK_CELLS, SlfnModel, build_hidden_matrix,
                          load_model, predict, save_model, select_hidden_layer,
                          train_eelm, train_elm)
+from eelm.ordering import embed_or_identity, invlex_sort_indices
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -202,6 +203,52 @@ def test_select_hidden_layer_rejects_degenerate_anchors(inputs):
     for strategy in ("first", "random", "even"):
         with pytest.raises(PreconditionError):
             select_hidden_layer(x, x.shape[0], anchor_strategy=strategy)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_one_validator_judges_anchors_at_every_dimension(d):
+    # the same flawed anchor sets get the same error at every d, through
+    # the training step and through the embedding alone
+    rows = np.arange(1.0, 6.0)[:, None] * np.linspace(1.0, 2.0, d)
+    for flaw, message in ((np.nan, "samples contain non-finite entries"),
+                          (np.inf, "samples contain non-finite entries"),
+                          (None, "samples contain duplicates")):
+        x = rows.copy()
+        if flaw is None:
+            x[3] = x[1]
+        else:
+            x[2, 0] = flaw
+        for call in (lambda: select_hidden_layer(x, len(x), "first"),
+                     lambda: embed_or_identity(x)):
+            with pytest.raises(PreconditionError) as exc_info:
+                call()
+            assert type(exc_info.value) is PreconditionError
+            assert str(exc_info.value) == message
+    # the all-zero rule is the embedding's: a 1-D grid through 0.0 fits
+    grid = np.linspace(-1.0, 1.0, 5)[:, None] * np.ones(d)
+    if d == 1:
+        params = select_hidden_layer(grid, len(grid), "first")
+        assert np.isfinite(params.biases).all()
+        assert np.array_equal(embed_or_identity(grid), np.ones(1))
+    else:
+        with pytest.raises(PreconditionError, match="all-zero"):
+            select_hidden_layer(grid, len(grid), "first")
+
+
+def test_float64_tie_of_sound_anchors_is_a_numeric_failure():
+    # distinct integer rows in 64 attributes: the embedding needs more
+    # digits than float64 holds, so two projections tie. That is a
+    # numeric failure naming the attribute that decides the pair.
+    x = np.random.default_rng(0).integers(1, 4, (500, 64)).astype(float)
+    data = Dataset("int", REGRESSION, x, np.zeros((500, 1)))
+    with pytest.raises(NumericOverflowError) as exc_info:
+        train_eelm(data, 50, anchor_strategy="first")
+    j = exc_info.value.attribute
+    i = int(str(exc_info.value).split("sorted samples ")[1].split(" ")[0])
+    assert str(exc_info.value).startswith(f"attribute {j}: ")
+    anchors = x[:50][invlex_sort_indices(x[:50])]
+    assert anchors[i + 1, j] != anchors[i, j]
+    assert np.array_equal(anchors[i + 1, j + 1:], anchors[i, j + 1:])
 
 
 @pytest.mark.parametrize("strategy", ["first", "random", "even"])
