@@ -33,9 +33,10 @@ _TASKS = {"reg": REGRESSION, "cls": CLASSIFICATION}
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
+    parser.add_argument("--seed", type=int, default=ExperimentConfig.seed,
+                        help="base RNG seed")
     parser.add_argument("--anchor-strategy", choices=ANCHOR_STRATEGIES,
-                        default="random",
+                        default=ExperimentConfig.anchor_strategy,
                         help="how the constructive algorithm picks anchors")
 
 
@@ -47,7 +48,7 @@ _FIELD_OF_DEST = {"target": "csv_schema", "task": "csv_schema"}
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--algo", choices=(*ALGORITHMS, "both"),
                         default="both", help="which algorithm(s) to run")
-    parser.add_argument("--trials", type=int, default=1,
+    parser.add_argument("--trials", type=int, default=ExperimentConfig.trials,
                         help="number of seeded trials")
     _add_model_flags(parser)
     parser.add_argument("--out", dest="out_path", metavar="PATH",
@@ -61,19 +62,24 @@ def _add_plot_data(parser: argparse.ArgumentParser) -> None:
 
 def _add_sinc_source(parser: argparse.ArgumentParser) -> list:
     return [
-        parser.add_argument("--n-train", type=int, default=200),
-        parser.add_argument("--n-test", type=int, default=200),
+        parser.add_argument("--n-train", type=int,
+                            default=ExperimentConfig.n_train),
+        parser.add_argument("--n-test", type=int,
+                            default=ExperimentConfig.n_test),
         parser.add_argument("--noise", dest="noise_sigma", type=float,
-                            default=0.0, metavar="SIGMA",
+                            default=ExperimentConfig.noise_sigma,
+                            metavar="SIGMA",
                             help="training-target noise standard deviation"),
         parser.add_argument("--test-dist", dest="test_distribution",
-                            choices=("uniform", "normal"), default="uniform"),
+                            choices=("uniform", "normal"),
+                            default=ExperimentConfig.test_distribution),
     ]
 
 
 def _add_split(parser: argparse.ArgumentParser) -> list:
     return [parser.add_argument("--split", dest="split_fraction", type=float,
-                                default=0.75, metavar="F",
+                                default=ExperimentConfig.split_fraction,
+                                metavar="F",
                                 help="training fraction of each split")]
 
 

@@ -44,8 +44,10 @@ class Dataset:
     def __post_init__(self):
         inputs = np.asarray(self.inputs, dtype=np.float64)
         targets = np.asarray(self.targets, dtype=np.float64)
-        if inputs.ndim != 2 or targets.ndim != 2:
-            raise ShapeError("inputs and targets must be 2-D")
+        if inputs.ndim != 2 or targets.ndim != 2 or \
+                0 in (inputs.shape[1], targets.shape[1]):
+            raise ShapeError("inputs and targets must be 2-D, with at least "
+                             "one column each")
         if inputs.shape[0] != targets.shape[0]:
             raise ShapeError(
                 f"{inputs.shape[0]} inputs but {targets.shape[0]} targets")
@@ -234,6 +236,14 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
                    class_labels=tuple(classes))
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """numpy's default generator under ``seed``, the source of every
+    random draw in the package; a negative seed is a PreconditionError."""
+    if seed < 0:
+        raise PreconditionError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def sinc(x):
     """sin(x)/x with the removable singularity patched to 1 at x = 0."""
     x = np.asarray(x, dtype=np.float64)
@@ -259,7 +269,7 @@ def gen_sinc(n_train: int, n_test: int, seed: int, noise_sigma: float = 0.0,
         raise PreconditionError(f"need n_test >= 1, got {n_test}")
     if noise_sigma < 0:
         raise PreconditionError("noise_sigma must be >= 0")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     xtr = np.linspace(-10.0, 10.0, n_train)
     ytr = sinc(xtr)
     if noise_sigma > 0.0:
@@ -297,7 +307,7 @@ def split(data: Dataset, fraction: float, seed: int):
     if n_train >= n or n_train < 1:
         raise PreconditionError(
             f"split of {n} samples at {fraction} leaves an empty side")
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = _rng(seed).permutation(n)
     tr, te = perm[:n_train], perm[n_train:]
     train = replace(data, name=data.name + "/train",
                     inputs=data.inputs[tr], targets=data.targets[tr])

@@ -12,20 +12,20 @@ where ``g`` is the Gaussian ``exp(-z^2)`` (:func:`selection.gaussian`):
   samples) so the hidden matrix has full column rank by construction,
   and solves with the faster orthogonal-projection pseudoinverse.
 
-Models serialize to a small versioned text format with hex floats so a
-round trip is bit-exact.
+A model is its arrays W, b and beta; it saves to a versioned text format
+of hex floats (bit-exact) through one statement of the file's layout.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
-from .datasets import METRICS, Dataset, _write_text
+from .datasets import METRICS, Dataset, _rng, _write_text
 from .errors import (FormatError, NumericOverflowError, PreconditionError,
                      ShapeError)
 from .ordering import _sorted_weights, invlex_sort_indices
@@ -53,38 +53,39 @@ PREDICT_BLOCK_CELLS = 1 << 16
 
 @dataclass(frozen=True, eq=False)
 class SlfnModel:
-    """A trained network: hidden-node parameters plus output weights."""
+    """A trained network, whole in its arrays W, b and beta. Its sizes
+    are read off their shapes (k, d), (k,) and (k, m), each at least 1
+    as the model file requires, so every saved model loads back."""
 
-    input_dim: int
-    output_dim: int
-    n_hidden: int
-    node_weights: np.ndarray   # (n_hidden, input_dim)
-    biases: np.ndarray         # (n_hidden,)
+    node_weights: np.ndarray    # (n_hidden, input_dim)
+    biases: np.ndarray          # (n_hidden,)
     output_weights: np.ndarray  # (n_hidden, output_dim)
-    provenance: str            # one of ALGORITHMS
+    provenance: str             # one of ALGORITHMS
     seed: int | None = None
+    n_hidden: int = field(init=False)
+    input_dim: int = field(init=False)
+    output_dim: int = field(init=False)
 
     def __post_init__(self):
         nw = np.asarray(self.node_weights, dtype=np.float64)
         b = np.asarray(self.biases, dtype=np.float64).ravel()
         ow = np.asarray(self.output_weights, dtype=np.float64)
-        if nw.shape != (self.n_hidden, self.input_dim):
-            raise ShapeError(f"node_weights shape {nw.shape} != "
-                             f"({self.n_hidden}, {self.input_dim})")
-        if b.shape != (self.n_hidden,):
-            raise ShapeError(f"biases shape {b.shape} != ({self.n_hidden},)")
-        if ow.shape != (self.n_hidden, self.output_dim):
-            raise ShapeError(f"output_weights shape {ow.shape} != "
-                             f"({self.n_hidden}, {self.output_dim})")
-        for arr, what in ((nw, "node_weights"), (b, "biases"),
-                          (ow, "output_weights")):
-            if not np.isfinite(arr).all():
-                raise PreconditionError(f"{what} contain non-finite values")
+        if nw.ndim != 2 or ow.ndim != 2 or 0 in nw.shape or 0 in ow.shape \
+                or b.shape != nw.shape[:1] or ow.shape[0] != nw.shape[0]:
+            raise ShapeError(
+                f"node_weights {nw.shape}, biases {b.shape} and "
+                f"output_weights {ow.shape} are not (k, d), (k,) and (k, m) "
+                f"with k, d, m >= 1")
         if self.provenance not in ALGORITHMS:
             raise PreconditionError(f"unknown provenance {self.provenance!r}")
-        object.__setattr__(self, "node_weights", nw)
-        object.__setattr__(self, "biases", b)
-        object.__setattr__(self, "output_weights", ow)
+        for name, arr in (("node_weights", nw), ("biases", b),
+                          ("output_weights", ow)):
+            if not np.isfinite(arr).all():
+                raise PreconditionError(f"{name} contain non-finite values")
+            object.__setattr__(self, name, arr)
+        for name, size in zip(("n_hidden", "input_dim", "output_dim"),
+                              (*nw.shape, ow.shape[1])):
+            object.__setattr__(self, name, size)
 
 
 @dataclass(frozen=True)
@@ -145,16 +146,14 @@ def _fit_output_weights(data: Dataset, node_weights, biases, provenance: str,
     targets (``svd``) or by the Gram system, then the model and its
     report. ``t0`` is when training started."""
     h = build_hidden_matrix(node_weights, biases, data.inputs)
-    n_hidden = h.shape[1]
     if svd:
         beta, rank = linalg._svd_lstsq(h, data.targets)
-        rank_ok = rank == n_hidden
+        rank_ok = rank == h.shape[1]
     else:
         beta = linalg.pinv_normal(h) @ data.targets
         rank_ok = True  # the Cholesky factor just certified it
     train_seconds = time.perf_counter() - t0
-    model = SlfnModel(data.n_features, data.n_outputs, n_hidden, node_weights,
-                      biases, beta, provenance, seed=seed)
+    model = SlfnModel(node_weights, biases, beta, provenance, seed=seed)
     report = TrainReport(
         train_seconds=train_seconds, select_seconds=select_seconds,
         hidden_matrix_rank_ok=rank_ok,
@@ -177,7 +176,7 @@ def train_elm(data: Dataset, n_hidden: int, seed: int = 0):
     """
     _check_train_args(n_hidden, data.n_samples)
     t0 = time.perf_counter()
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     node_weights = rng.uniform(-1.0, 1.0, (n_hidden, data.n_features))
     biases = rng.uniform(-1.0, 1.0, n_hidden)
     return _fit_output_weights(data, node_weights, biases, "elm", seed,
@@ -189,7 +188,7 @@ def _choose_anchors(n: int, n_hidden: int, strategy: str, seed: int,
     if strategy == "first":
         return np.arange(n_hidden)
     if strategy == "random":
-        return np.random.default_rng(seed).choice(n, n_hidden, replace=False)
+        return _rng(seed).choice(n, n_hidden, replace=False)
     if strategy == "even":
         # evenly spaced through the inverse-lex order, which the
         # embedding guarantees is also the projection order
@@ -278,6 +277,14 @@ def predict(model: SlfnModel, inputs) -> np.ndarray:
     return out
 
 
+# A model file: its format tag, a "key value" line per header key, each
+# section's name line and rows of hex floats (the biases in one row), and
+# "end". save_model writes and load_model reads it from these two tuples.
+_HEADER_KEYS = ("provenance", "seed", "activation", "input_dim",
+                "output_dim", "n_hidden")
+_SECTIONS = ("node_weights", "biases", "output_weights")
+
+
 def _format_row(values) -> str:
     return " ".join(float(v).hex() for v in values)
 
@@ -285,33 +292,15 @@ def _format_row(values) -> str:
 def save_model(model: SlfnModel, path) -> None:
     """Write the model as a versioned text document (bit-exact floats);
     FormatError when ``path`` cannot be written."""
-    lines = [
-        MODEL_FORMAT,
-        f"provenance {model.provenance}",
-        f"seed {'none' if model.seed is None else model.seed}",
-        f"activation {ACTIVATION_TAG}",
-        f"input_dim {model.input_dim}",
-        f"output_dim {model.output_dim}",
-        f"n_hidden {model.n_hidden}",
-        "node_weights",
-    ]
-    lines.extend(_format_row(row) for row in model.node_weights)
-    lines.append("biases")
-    lines.append(_format_row(model.biases))
-    lines.append("output_weights")
-    lines.extend(_format_row(row) for row in model.output_weights)
+    lines = [MODEL_FORMAT]
+    for key in _HEADER_KEYS:
+        value = ACTIVATION_TAG if key == "activation" else getattr(model, key)
+        lines.append(f"{key} {'none' if value is None else value}")
+    for name in _SECTIONS:
+        lines.append(name)
+        lines.extend(map(_format_row, np.atleast_2d(getattr(model, name))))
     lines.append("end")
     _write_text(path, "\n".join(lines) + "\n")
-
-
-def _line(lines: list, pos: int, what: str, path: str) -> tuple[int, str]:
-    """Line ``pos`` of a model file as (byte offset, text); FormatError
-    when the file ends there."""
-    offset, text = lines[pos]
-    if text is None:
-        raise FormatError(f"file truncated while reading {what}", path=path,
-                          offset=offset)
-    return offset, text
 
 
 def load_model(path) -> SlfnModel:
@@ -339,76 +328,70 @@ def load_model(path) -> SlfnModel:
             lines.append((offset, text))
         offset += len(chunk) + 1
     lines.append((offset - len(chunks[-1]) - 1, None))
+    rest = iter(lines)
 
-    pos = 0
-    offset, tag = _line(lines, pos, "format tag", path)
+    def bad(message: str) -> FormatError:
+        # located at the line read last
+        return FormatError(message, path=path, offset=offset)
+
+    def next_line(what: str) -> str:
+        nonlocal offset
+        offset, text = next(rest)
+        if text is None:
+            raise bad(f"file truncated while reading {what}")
+        return text
+
+    tag = next_line("format tag")
     if tag != MODEL_FORMAT:
-        raise FormatError(f"expected format {MODEL_FORMAT!r}, found {tag!r}",
-                          path=path, offset=offset)
+        raise bad(f"expected format {MODEL_FORMAT!r}, found {tag!r}")
     header = {}
-    for key in ("provenance", "seed", "activation", "input_dim",
-                "output_dim", "n_hidden"):
-        pos += 1
-        offset, line = _line(lines, pos, key, path)
+    for key in _HEADER_KEYS:
+        line = next_line(key)
         parts = line.split(None, 1)
         if len(parts) != 2 or parts[0] != key:
-            raise FormatError(f"expected '{key} <value>', found {line!r}",
-                              path=path, offset=offset)
+            raise bad(f"expected '{key} <value>', found {line!r}")
         text = parts[1]
-        if key == "provenance":
-            if text not in ALGORITHMS:
-                raise FormatError(f"unknown provenance {text!r}; expected "
-                                  f"one of {ALGORITHMS}", path=path,
-                                  offset=offset)
+        if key in ("provenance", "activation"):
+            known = ALGORITHMS if key == "provenance" else (ACTIVATION_TAG,)
+            if text not in known:
+                raise bad(f"unknown {key} {text!r}; expected one of {known}")
             header[key] = text
-        elif key == "activation":
-            if text != ACTIVATION_TAG:
-                raise FormatError(f"unknown activation tag {text!r}; "
-                                  f"expected {ACTIVATION_TAG!r}", path=path,
-                                  offset=offset)
         elif key == "seed" and text == "none":
             header[key] = None
         else:
             try:
                 header[key] = int(text)
             except ValueError:
-                kind = "an integer or 'none'" if key == "seed" else \
-                    "an integer"
-                raise FormatError(f"{key}: {text!r} is not {kind}",
-                                  path=path, offset=offset) from None
+                kind = "an integer" + (" or 'none'" if key == "seed" else "")
+                raise bad(f"{key}: {text!r} is not {kind}") from None
             if key != "seed" and header[key] < 1:
-                raise FormatError(f"{key} must be >= 1, got {header[key]}",
-                                  path=path, offset=offset)
+                raise bad(f"{key} must be >= 1, got {header[key]}")
 
     d, m, n0 = header["input_dim"], header["output_dim"], header["n_hidden"]
-    arrays = []
-    for name, rows, width in (("node_weights", n0, d), ("biases", 1, n0),
-                              ("output_weights", n0, m), ("end", 0, 0)):
-        pos += 1
-        offset, line = _line(lines, pos, name, path)
+    shapes = {"node_weights": (n0, d), "biases": (1, n0),
+              "output_weights": (n0, m), "end": (0, 0)}
+    arrays = {}
+    for name in (*_SECTIONS, "end"):
+        rows, width = shapes[name]
+        line = next_line(name)
         if line != name:
-            raise FormatError(f"expected section {name!r}, found {line!r}",
-                              path=path, offset=offset)
+            raise bad(f"expected section {name!r}, found {line!r}")
         values = []
         for _ in range(rows):
-            pos += 1
-            offset, line = _line(lines, pos, name, path)
-            cells = line.split()
+            cells = next_line(name).split()
             if len(cells) != width:
-                raise FormatError(f"{name}: expected {width} values, found "
-                                  f"{len(cells)}", path=path, offset=offset)
+                raise bad(f"{name}: expected {width} values, found "
+                          f"{len(cells)}")
             for cell in cells:
                 try:
                     value = float.fromhex(cell)
                 except (ValueError, OverflowError):
-                    raise FormatError(f"{name}: {cell!r} is not a hex float",
-                                      path=path, offset=offset) from None
+                    raise bad(f"{name}: {cell!r} is not a hex float") from None
                 # float.fromhex also reads 'inf' and 'nan'
                 if not math.isfinite(value):
-                    raise FormatError(f"{name}: {cell!r} is not finite",
-                                      path=path, offset=offset)
+                    raise bad(f"{name}: {cell!r} is not finite")
                 values.append(value)
-        arrays.append(np.array(values).reshape(rows, width))
-    node_weights, biases, output_weights, _ = arrays
-    return SlfnModel(d, m, n0, node_weights, biases, output_weights,
-                     header["provenance"], seed=header["seed"])
+        arrays[name] = np.array(values).reshape(rows, width)
+    del arrays["end"]
+    return SlfnModel(**arrays, provenance=header["provenance"],
+                     seed=header["seed"])

@@ -119,18 +119,15 @@ def _construct(x: np.ndarray) -> OrderEmbedding:
     tests it."""
     # work attribute-major: per-attribute reductions then run along the
     # contiguous axis instead of through per-row reduction machinery
-    n, d = x.shape
+    d = x.shape[1]
     xt = np.ascontiguousarray(x.T)
     absmax = np.abs(xt).max(axis=1)
     scale1 = 1.0 / np.where(absmax > 0.0, absmax, 1.0)
     rescaled = xt * scale1[:, None]
     delta = math.log10(2.0 * d)
-    if n > 1:
-        gaps = np.abs(rescaled[:, 1:] - rescaled[:, :-1])
-        col_min = np.where(gaps > 0.0, gaps, np.inf).min(axis=1)
-        diffs_min = np.where(np.isfinite(col_min), col_min, 1.0)
-    else:
-        diffs_min = np.ones(d)
+    gaps = np.abs(rescaled[:, 1:] - rescaled[:, :-1])
+    col_min = np.where(gaps > 0.0, gaps, np.inf).min(axis=1, initial=np.inf)
+    diffs_min = np.where(np.isfinite(col_min), col_min, 1.0)
     exponents = np.ceil(-np.log10(diffs_min)) + delta
     cum = np.cumsum(exponents)
     with np.errstate(over="ignore"):

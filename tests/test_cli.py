@@ -232,6 +232,28 @@ def test_elm_alone_rejects_anchor_strategy(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "unused.slfn").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["sinc", "--nodes", "5", "--n-train", "10", "--n-test", "5"],
+    ["bench", "--nodes", "5"],
+    ["sweep", "--nodes-sweep", "5", "--n-train", "10", "--n-test", "5"],
+    ["train", "--nodes", "5", "--algo", "elm", "--model-out", "m.slfn"],
+    ["train", "--nodes", "5", "--algo", "eelm", "--model-out", "m.slfn"],
+])
+def test_negative_seed_is_a_configuration_error(tmp_path, monkeypatch,
+                                                capsys, command):
+    monkeypatch.chdir(tmp_path)
+    fits = [counting(monkeypatch, "train_elm"),
+            counting(monkeypatch, "train_eelm")]
+    if command[0] in ("bench", "train"):
+        command = [*command, "--csv", str(write_toy_csv(tmp_path / "t.csv")),
+                   "--target", "label", "--task", "cls"]
+    assert main([*command, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: seed must be >= 0, got -1\n")
+    assert fits == [[], []]
+    assert not (tmp_path / "m.slfn").exists()
+
+
 def test_train_svd_failure_exits_4(tmp_path, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")

@@ -243,6 +243,15 @@ def test_dataset_validation():
         Dataset("x", "clustering", np.ones((1, 1)), np.ones((1, 1)))
 
 
+@pytest.mark.parametrize("inputs, targets", [
+    (np.ones((5, 0)), np.ones((5, 1))),
+    (np.ones((5, 2)), np.ones((5, 0))),
+])
+def test_dataset_needs_an_attribute_and_a_target_column(inputs, targets):
+    with pytest.raises(ShapeError, match="at least one column"):
+        Dataset("x", REGRESSION, inputs, targets)
+
+
 def test_minmax_scale():
     data = Dataset("x", REGRESSION,
                    np.array([[0.0, 5.0], [10.0, 5.0], [5.0, 5.0]]),

@@ -1,5 +1,6 @@
 """Training algorithms, prediction, and model serialization."""
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -7,7 +8,8 @@ import numpy as np
 import pytest
 
 import eelm
-from eelm.datasets import CLASSIFICATION, REGRESSION, Dataset, gen_sinc
+from eelm.datasets import (CLASSIFICATION, REGRESSION, Dataset, gen_sinc,
+                           split)
 from eelm.errors import (FormatError, NumericalFailure, NumericOverflowError,
                          PreconditionError, ShapeError)
 from eelm.linalg import (numerical_rank, pinv_normal, pinv_svd,
@@ -374,8 +376,8 @@ def test_pinv_normal_at_blocked_lapack_sizes():
 
 
 def test_predict_zero_weights():
-    model = SlfnModel(2, 1, 3, np.zeros((3, 2)), np.zeros(3),
-                      np.zeros((3, 1)), "elm", seed=0)
+    model = SlfnModel(np.zeros((3, 2)), np.zeros(3), np.zeros((3, 1)), "elm",
+                      seed=0)
     assert np.array_equal(predict(model, np.ones((4, 2))), np.zeros((4, 1)))
 
 
@@ -387,14 +389,13 @@ def test_predict_vanishes_far_from_training_range():
 
 
 def test_predict_validates_dimensions():
-    model = SlfnModel(2, 1, 1, np.ones((1, 2)), np.zeros(1), np.ones((1, 1)),
-                      "eelm")
+    model = SlfnModel(np.ones((1, 2)), np.zeros(1), np.ones((1, 1)), "eelm")
     with pytest.raises(ShapeError):
         predict(model, np.ones((3, 5)))
 
 
 def _random_model(rng, n_hidden, d=3, m=2):
-    return SlfnModel(d, m, n_hidden, rng.uniform(-1, 1, (n_hidden, d)),
+    return SlfnModel(rng.uniform(-1, 1, (n_hidden, d)),
                      rng.uniform(-1, 1, n_hidden),
                      rng.normal(size=(n_hidden, m)), "elm")
 
@@ -442,6 +443,71 @@ def test_predict_builds_hidden_matrix_in_blocks(monkeypatch, n_hidden):
 def test_predict_no_rows():
     model = _random_model(np.random.default_rng(0), 5)
     assert predict(model, np.empty((0, 3))).shape == (0, 2)
+
+
+def test_model_sizes_are_read_off_its_arrays():
+    model = _random_model(np.random.default_rng(16), 4, d=3, m=2)
+    assert (model.n_hidden, model.input_dim, model.output_dim) == (4, 3, 2)
+    assert model.node_weights.shape == (model.n_hidden, model.input_dim)
+    assert model.biases.shape == (model.n_hidden,)
+    assert model.output_weights.shape == (model.n_hidden, model.output_dim)
+    assert [f.name for f in dataclasses.fields(SlfnModel) if f.init] == [
+        "node_weights", "biases", "output_weights", "provenance", "seed"]
+
+
+@pytest.mark.parametrize("node_weights, biases, output_weights", [
+    (np.ones((0, 2)), np.ones(0), np.ones((0, 1))),  # no node
+    (np.ones((3, 0)), np.ones(3), np.ones((3, 1))),  # no input
+    (np.ones((3, 2)), np.ones(3), np.ones((3, 0))),  # no output
+    (np.ones((3, 2)), np.ones(2), np.ones((3, 1))),  # a bias short
+    (np.ones((3, 2)), np.ones(4), np.ones((3, 1))),  # a bias over
+    (np.ones((3, 2)), np.ones(3), np.ones((2, 1))),  # output rows != nodes
+    (np.ones(2), np.ones(1), np.ones((1, 1))),       # 1-D node weights
+    (np.ones((3, 2)), np.ones(3), np.ones(3)),       # 1-D output weights
+])
+def test_model_rejects_arrays_that_are_not_a_network(node_weights, biases,
+                                                     output_weights):
+    with pytest.raises(ShapeError):
+        SlfnModel(node_weights, biases, output_weights, "elm", seed=0)
+
+
+def _three_class_classifier():
+    rng = np.random.default_rng(17)
+    inputs = rng.normal(0.0, 1.0, (30, 2))
+    targets = np.eye(3)[np.arange(30) % 3]
+    data = Dataset("three-class", CLASSIFICATION, inputs, targets,
+                   class_labels=("a", "b", "c"))
+    return train_eelm(data, 6, seed=5)[0]
+
+
+@pytest.mark.parametrize("make", [
+    # the smallest network the file format admits
+    lambda: SlfnModel(np.array([[0.5]]), np.array([-0.25]),
+                      np.array([[3.0]]), "eelm", seed=0),
+    _three_class_classifier,
+    lambda: _random_model(np.random.default_rng(18), 3),
+], ids=["one-node", "classifier", "no-seed"])
+def test_model_save_load_save_is_byte_identical(tmp_path, make):
+    model = make()
+    first, second = tmp_path / "first.slfn", tmp_path / "second.slfn"
+    save_model(model, first)
+    loaded = load_model(first)
+    save_model(loaded, second)
+    assert second.read_bytes() == first.read_bytes()
+    assert (loaded.n_hidden, loaded.input_dim, loaded.output_dim) == (
+        model.n_hidden, model.input_dim, model.output_dim)
+    assert loaded.seed == model.seed
+
+
+def test_negative_seed_is_a_precondition_error():
+    data = regression_data(np.random.default_rng(19), 10, 2)
+    for draw in (lambda: train_elm(data, 3, seed=-1),
+                 lambda: train_eelm(data, 3, seed=-1),
+                 lambda: select_hidden_layer(data.inputs, 3, seed=-2),
+                 lambda: gen_sinc(10, 5, seed=-1),
+                 lambda: split(data, 0.5, seed=-3)):
+        with pytest.raises(PreconditionError, match="seed must be >= 0"):
+            draw()
 
 
 def test_model_roundtrip_bit_exact(tmp_path):
