@@ -236,11 +236,17 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
                    class_labels=tuple(classes))
 
 
-def _rng(seed: int) -> np.random.Generator:
-    """numpy's default generator under ``seed``, the source of every
-    random draw in the package; a negative seed is a PreconditionError."""
+def _check_seed(seed: int) -> None:
+    """The seed rule, wherever a seed is drawn from or stored: a negative
+    seed is a PreconditionError."""
     if seed < 0:
         raise PreconditionError(f"seed must be >= 0, got {seed}")
+
+
+def _rng(seed: int) -> np.random.Generator:
+    """numpy's default generator under ``seed``, the source of every
+    random draw in the package; see :func:`_check_seed`."""
+    _check_seed(seed)
     return np.random.default_rng(seed)
 
 

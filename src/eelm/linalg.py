@@ -6,10 +6,10 @@ to the Moore-Penrose generalized inverse are provided:
 * :func:`pinv_svd` — numpy's SVD pseudoinverse with the one cutoff
   ``max(rows, cols) * eps * sigma_max``, valid for any rank;
   :func:`numerical_rank` counts the singular values above it. A fit
-  takes ``A⁺B`` and the rank, under the same cutoff, from one SVD
-  without forming ``A⁺``; a tall ``A`` is first reduced to the small
-  cols×cols ``R₁₁`` of one QR of ``[A | B]``, so no rows×cols ``U`` is
-  built.
+  takes ``A⁺B`` and the rank, under the same cutoff, without forming
+  ``A⁺``: a tall ``A`` goes to LAPACK's least-squares driver ``gelsd``
+  in one call, which reduces it by QR itself and builds no rows×cols or
+  cols×cols factor; a square or near-square ``A`` to one SVD.
 * :func:`pinv_normal` — the orthogonal-projection form ``(AᵀA)⁻¹Aᵀ``:
   LAPACK factors the Gram matrix as ``LLᵀ``, ``L⁻¹`` is inverted by
   2×2 blocks, and each row block of ``A`` is multiplied by the rows of
@@ -21,7 +21,9 @@ to the Moore-Penrose generalized inverse are provided:
   ``PINV_BLOCK_CELLS`` is cut into row blocks ordered by their first
   non-zero column, each block works only on the column range its rows
   touch, and an all-zero row costs nothing. A dense matrix costs what
-  it did as one Gram product and one product with ``Aᵀ``.
+  it did as one Gram product and one product with ``Aᵀ``. A NaN or Inf
+  cell of ``A`` shows in the Gram diagonal, so ``A`` is scanned for one
+  only when that diagonal is not finite.
 
 Keeping both paths separate matters: the training code uses the normal-
 equation route precisely because the constructive weight selection
@@ -51,32 +53,36 @@ __all__ = [
 # (303 to 19 blocks) timed alike.
 PINV_BLOCK_CELLS = 1 << 18
 
-# Rows per column from which _svd_lstsq reduces A to the R of a QR
-# before its SVD. LAPACK's own SVD reduces by QR from 11/6 rows per
-# column, but still builds the rows x cols U that this QR skips. Below
-# it the QR costs more than it saves: on the sinc protocol's square
-# 200 x 200 ELM hidden matrix every fit took 20 % longer with it. From 2
-# rows per column on, it saved time at 50 to 1 000 columns (one
-# OpenBLAS thread); at 20 columns, only from about 10.
-_QR_ROWS_PER_COL = 2
+# Rows per column from which _svd_lstsq hands A to LAPACK's gelsd. On
+# its own gelsd beat gesdd at every shape timed (0.54 to 0.86 of its
+# time at 20 to 1 000 columns and 1 to 4 rows per column, one OpenBLAS
+# thread), so a square A keeps gesdd for what gelsd leaves behind: on
+# the sinc protocol's 200 x 200 ELM hidden matrix, its smaller workspace
+# left glibc's heap thresholds lower, and each EELM fit after ELM fits
+# took 402 minor page faults instead of 47 (perfbench sinc-protocol
+# eelm_fit_s +26 %, over its bound).
+_LSTSQ_ROWS_PER_COL = 2
 
 # Order up to which _tri_inv hands a diagonal block to LAPACK's solve;
 # above it, block products do most of the work.
 _TRI_LEAF = 64
 
 
-def _as_matrix(a, name: str) -> np.ndarray:
-    """Validate and convert ``a`` to a 2-D float64 array.
-
-    Raises ShapeError for wrong dimensionality or empty axes and
-    PreconditionError for NaN/Inf entries.
-    """
+def _as_2d(a, name: str) -> np.ndarray:
+    """``a`` as a 2-D float64 array with at least one row and column;
+    ShapeError otherwise."""
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ShapeError(f"{name} must have at least one row and column, "
                          f"got shape {arr.shape}")
+    return arr
+
+
+def _as_matrix(a, name: str) -> np.ndarray:
+    """:func:`_as_2d`, and PreconditionError for NaN/Inf entries."""
+    arr = _as_2d(a, name)
     if not np.isfinite(arr).all():
         raise PreconditionError(f"{name} contains non-finite entries")
     return arr
@@ -89,24 +95,27 @@ def _svd_lstsq(a: np.ndarray, b: np.ndarray):
     only ones kept: ``x = V_r ((U_rᵀb) / s_r)`` from ``A = USVᵀ``
     (Golub & Van Loan, *Matrix Computations*, §5.5).
 
-    With at least ``_QR_ROWS_PER_COL`` rows per column, ``A`` is first
-    reduced: one Householder QR of ``[A | b]`` gives ``R₁₁``, the ``R``
-    of ``A``, which has ``A``'s singular values, and ``R₁₂ = Q₁ᵀb``
-    (ibid., §5.3; Björck, *Numerical Methods for Least Squares
-    Problems*, ch. 2). The SVD then takes the cols×cols ``R₁₁`` in
-    place of ``A`` and ``R₁₂`` in place of ``b``, so no rows×cols ``U``
-    is built to be applied to a few columns.
+    With at least ``_LSTSQ_ROWS_PER_COL`` rows per column, one
+    ``np.linalg.lstsq`` call with that cutoff as ``rcond`` computes it:
+    LAPACK's ``gelsd`` reduces ``A`` by Householder QR, applies the
+    reflectors to ``b``, and solves on the cols×cols ``R`` by a
+    divide-and-conquer SVD that keeps the singular values above
+    ``rcond * sigma_max`` (ibid., §5.3; Björck, *Numerical Methods for
+    Least Squares Problems*, ch. 2). No ``[A | b]``, rows×cols ``Q`` or
+    ``U``, or cols×cols ``V`` is built. A square or near-square ``A``
+    takes ``np.linalg.svd`` (gesdd) directly (see
+    ``_LSTSQ_ROWS_PER_COL``). Either driver's LinAlgError is a
+    NumericalFailure.
     """
-    cutoff_scale = max(a.shape) * np.finfo(np.float64).eps
-    k = a.shape[1]
-    if a.shape[0] >= _QR_ROWS_PER_COL * k:
-        r = np.linalg.qr(np.hstack([a, b]), mode="r")
-        a, b = r[:k, :k], r[:k, k:]
+    rcond = max(a.shape) * np.finfo(np.float64).eps
     try:
+        if a.shape[0] >= _LSTSQ_ROWS_PER_COL * a.shape[1]:
+            x, _, rank, _ = np.linalg.lstsq(a, b, rcond=rcond)
+            return x, int(rank)
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
-    rank = int(np.count_nonzero(s > cutoff_scale * s[0]))
+    rank = int(np.count_nonzero(s > rcond * s[0]))
     return vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank, None]), rank
 
 
@@ -203,14 +212,24 @@ def pinv_normal(a) -> np.ndarray:
     LAPACK refuses ``G``, RankDeficientError names pivot ``j``: ``j + 1``
     is the order of the smallest leading block of ``G`` that fails the
     same test, found by bisection.
+
+    ``A`` is not scanned for NaN or Inf up front. Such a cell is non-zero,
+    so it lies in some row block and leaves its column's ``G_jj``
+    non-finite; only then is ``A`` scanned, and a non-finite cell is a
+    PreconditionError. A finite ``A`` whose Gram matrix overflows goes on
+    to the RankDeficientError.
     """
-    a = _as_matrix(a, "pinv_normal input")
+    a = _as_2d(a, "pinv_normal input")
     n, k = a.shape
     blocks = _row_blocks(a)
     gram = np.zeros((k, k))
-    for rows, lo, hi in blocks:
-        part = a[rows, lo:hi]
-        gram[lo:hi, lo:hi] += part.T @ part
+    # an Inf cell times a zero one is NaN; the diagonal test reports it
+    with np.errstate(invalid="ignore"):
+        for rows, lo, hi in blocks:
+            part = a[rows, lo:hi]
+            gram[lo:hi, lo:hi] += part.T @ part
+    if not np.isfinite(np.diagonal(gram)).all():
+        _as_matrix(a, "pinv_normal input")
     bound = n * np.finfo(np.float64).eps
     low = _cholesky(gram, bound)
     if low is None:

@@ -4,9 +4,10 @@ Two ways to obtain a model ``G(x) = sum_i beta_i * g(W_i . x + b_i)``,
 where ``g`` is the Gaussian ``exp(-z^2)`` (:func:`selection.gaussian`):
 
 * :func:`train_elm` draws hidden weights and biases uniformly at random
-  from [-1, 1] and takes the output weights ``H⁺T`` from an SVD,
-  without forming ``H⁺`` (which tolerates any rank the draw produces);
-  one QR of ``[H | T]`` first reduces a tall H to its small R factor.
+  from [-1, 1] and takes the output weights ``H⁺T`` by an SVD
+  least-squares solve, without forming ``H⁺`` (which tolerates any rank
+  the draw produces): LAPACK's ``gelsd`` for a tall H, in one call that
+  reduces it by QR itself, and the SVD of H for a square one.
 * :func:`train_eelm` constructs the hidden weights and biases from the
   data (order embedding + gain/bias selection over a set of anchor
   samples) so the hidden matrix has full column rank by construction,
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .datasets import METRICS, Dataset, _rng, _write_text
+from .datasets import METRICS, Dataset, _check_seed, _rng, _write_text
 from .errors import (FormatError, NumericOverflowError, PreconditionError,
                      ShapeError)
 from .ordering import _sorted_weights, invlex_sort_indices
@@ -55,7 +56,8 @@ PREDICT_BLOCK_CELLS = 1 << 16
 class SlfnModel:
     """A trained network, whole in its arrays W, b and beta. Its sizes
     are read off their shapes (k, d), (k,) and (k, m), each at least 1
-    as the model file requires, so every saved model loads back."""
+    as the model file requires, so every saved model loads back. A
+    seed, when stored, is not negative."""
 
     node_weights: np.ndarray    # (n_hidden, input_dim)
     biases: np.ndarray          # (n_hidden,)
@@ -78,6 +80,8 @@ class SlfnModel:
                 f"with k, d, m >= 1")
         if self.provenance not in ALGORITHMS:
             raise PreconditionError(f"unknown provenance {self.provenance!r}")
+        if self.seed is not None:
+            _check_seed(self.seed)
         for name, arr in (("node_weights", nw), ("biases", b),
                           ("output_weights", ow)):
             if not np.isfinite(arr).all():
@@ -168,10 +172,11 @@ def train_elm(data: Dataset, n_hidden: int, seed: int = 0):
     Weights and biases are i.i.d. uniform on [-1, 1] under ``seed``; the
     same seed and data reproduce the model bit for bit. Only this draw
     is ELM's own: the rest is the phase two :func:`train_eelm` shares.
-    With at least twice as many samples as nodes, the solve takes R
-    from one QR of ``[H | T]`` and the SVD of R's leading ``n_hidden``
-    × ``n_hidden`` block only, which has H's singular values: no
-    samples × nodes factor beyond H is built.
+    With at least twice as many samples as nodes, the solve is one
+    ``np.linalg.lstsq`` (LAPACK ``gelsd``) call, which reduces H by QR
+    and keeps the singular values of its ``n_hidden`` × ``n_hidden`` R
+    above the cutoff: beyond one copy of H, no samples × nodes array is
+    built. A square H takes its own SVD.
     Returns ``(SlfnModel, TrainReport)``.
     """
     _check_train_args(n_hidden, data.n_samples)
@@ -208,12 +213,14 @@ def select_hidden_layer(inputs, n_hidden: int, anchor_strategy: str = "random",
     sorts them (inverse-lex order, which the embedding makes identical
     to projection order), builds the embedding from them, and selects
     the per-node gains and biases. Costs O(n_hidden * dim) plus the
-    sort.
+    sort. A negative ``seed`` is a PreconditionError under every
+    strategy, drawn from or not: a model stores it.
     """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"inputs must be 2-D, got ndim={x.ndim}")
     _check_train_args(n_hidden, x.shape[0])
+    _check_seed(seed)
     idx = _choose_anchors(x.shape[0], n_hidden, anchor_strategy, seed, x)
     # np.take copies whole rows; fancy indexing pays a fixed cost per
     # row that would dominate the O(n_hidden * dim) work for small dim
@@ -364,8 +371,9 @@ def load_model(path) -> SlfnModel:
             except ValueError:
                 kind = "an integer" + (" or 'none'" if key == "seed" else "")
                 raise bad(f"{key}: {text!r} is not {kind}") from None
-            if key != "seed" and header[key] < 1:
-                raise bad(f"{key} must be >= 1, got {header[key]}")
+            least = 0 if key == "seed" else 1
+            if header[key] < least:
+                raise bad(f"{key} must be >= {least}, got {header[key]}")
 
     d, m, n0 = header["input_dim"], header["output_dim"], header["n_hidden"]
     shapes = {"node_weights": (n0, d), "biases": (1, n0),

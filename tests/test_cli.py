@@ -238,6 +238,11 @@ def test_elm_alone_rejects_anchor_strategy(tmp_path, monkeypatch, capsys,
     ["sweep", "--nodes-sweep", "5", "--n-train", "10", "--n-test", "5"],
     ["train", "--nodes", "5", "--algo", "elm", "--model-out", "m.slfn"],
     ["train", "--nodes", "5", "--algo", "eelm", "--model-out", "m.slfn"],
+    # anchors that draw nothing: the model would still store the seed
+    ["train", "--nodes", "5", "--algo", "eelm", "--anchor-strategy", "first",
+     "--model-out", "m.slfn"],
+    ["train", "--nodes", "5", "--algo", "eelm", "--anchor-strategy", "even",
+     "--model-out", "m.slfn"],
 ])
 def test_negative_seed_is_a_configuration_error(tmp_path, monkeypatch,
                                                 capsys, command):
@@ -255,15 +260,21 @@ def test_negative_seed_is_a_configuration_error(tmp_path, monkeypatch,
 
 
 def test_train_svd_failure_exits_4(tmp_path, monkeypatch, capsys):
+    # each driver's failure: lstsq's for the tall 40 x 5 H, svd's for the
+    # square 40 x 40 one
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
-    monkeypatch.setattr(np.linalg, "svd", fail)
-    code = main(["train", "--csv", str(write_toy_csv(tmp_path / "toy.csv")),
-                 "--target", "label", "--task", "cls", "--algo", "elm",
-                 "--nodes", "5", "--model-out", str(tmp_path / "m.slfn")])
-    assert code == 4
-    assert capsys.readouterr().err.startswith(
-        "numeric failure: SVD did not converge")
+    csv_path = str(write_toy_csv(tmp_path / "toy.csv"))
+    for driver, nodes in (("lstsq", "5"), ("svd", "40")):
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, driver, fail)
+            code = main(["train", "--csv", csv_path, "--target", "label",
+                         "--task", "cls", "--algo", "elm", "--nodes", nodes,
+                         "--model-out", str(tmp_path / "m.slfn")])
+        assert code == 4
+        assert capsys.readouterr().err.startswith(
+            "numeric failure: SVD did not converge")
+        assert not (tmp_path / "m.slfn").exists()
 
 
 def test_exit_code_data_error(tmp_path):

@@ -185,6 +185,30 @@ def test_pinv_normal_dense_matrix_over_several_blocks():
     assert np.abs(pinv_normal(a) - pinv_svd(a)).max() <= 1e-8
 
 
+@pytest.mark.parametrize("cell", [np.nan, np.inf])
+def test_pinv_normal_non_finite_cell_in_a_zero_row(cell):
+    # no scan up front: the cell is non-zero, so it enters a row block
+    # and its column's Gram diagonal, whatever the block it falls in
+    rng = np.random.default_rng(22)
+    k = 100
+    a = banded(rng, 3 * (PINV_BLOCK_CELLS // k), k, 10)
+    a[500] = 0.0
+    a[500, 40] = cell
+    with pytest.raises(PreconditionError,
+                       match="^pinv_normal input contains non-finite "
+                             "entries$"):
+        pinv_normal(a)
+
+
+def test_pinv_normal_finite_overflowing_cell_is_rank_deficient():
+    rng = np.random.default_rng(23)
+    k = 100
+    a = banded(rng, 3 * (PINV_BLOCK_CELLS // k), k, 10)
+    a[500, 40] = 1e200
+    with np.errstate(over="ignore"), pytest.raises(RankDeficientError):
+        pinv_normal(a)
+
+
 def test_pinv_normal_names_a_dependent_column_in_a_later_block():
     rng = np.random.default_rng(21)
     k = 200
@@ -236,8 +260,15 @@ def lstsq_cases():
     tall = rng.uniform(-1.0, 1.0, (300, 20))
     labels = rng.integers(0, 2, 300)
     zero_col = np.column_stack([rng.uniform(-1.0, 1.0, 300), np.zeros(300)])
+    # the tall route on a rank-deficient H, as every tabular ELM fit is:
+    # a duplicated column and a node that never fires
+    tall_deficient = tall.copy()
+    tall_deficient[:, 7] = tall_deficient[:, 3]
+    tall_deficient[:, 12] = 0.0
     return {
         "sinc-rank-deficient": (sinc_h, sinc.targets),
+        "tall-rank-deficient": (tall_deficient,
+                                rng.uniform(-1.0, 1.0, (300, 2))),
         "tall-full-rank": (tall, rng.uniform(-1.0, 1.0, (300, 1))),
         "square": (rng.uniform(-1.0, 1.0, (50, 50)),
                    rng.uniform(-1.0, 1.0, (50, 1))),
@@ -252,7 +283,7 @@ def test_svd_lstsq_matches_the_pseudoinverse(case):
     beta, rank = _svd_lstsq(h, y)
     ref = pinv_svd(h) @ y
     assert rank == numerical_rank(h)
-    assert (rank < h.shape[1]) == (case == "sinc-rank-deficient")
+    assert (rank < h.shape[1]) == case.endswith("rank-deficient")
     assert beta.shape == ref.shape == (h.shape[1], y.shape[1])
     # rounding moves the minimum-norm solution by about
     # max(rows, cols) * eps * kappa of its size, kappa = s_1 / s_rank
@@ -271,20 +302,27 @@ def test_svd_lstsq_matches_the_pseudoinverse(case):
 
 
 def test_svd_lstsq_decomposes_only_a_square_block(monkeypatch):
-    # no rows x cols U: of a tall H, the SVD sees only the cols x cols R
-    # of [H | Y]
-    seen = []
-    real = np.linalg.svd
+    # a tall H is one gelsd call with the pinv_svd cutoff as rcond and no
+    # QR or SVD of its own; only a square H goes to the SVD
+    calls = []
 
-    def spy(a, *args, **kwargs):
-        seen.append(np.shape(a))
-        return real(a, *args, **kwargs)
-    monkeypatch.setattr(np.linalg, "svd", spy)
+    def spy(name):
+        real = getattr(np.linalg, name)
+
+        def wrapper(a, *args, **kwargs):
+            calls.append((name, np.shape(a), kwargs.get("rcond")))
+            return real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, wrapper)
+    for name in ("lstsq", "qr", "svd"):
+        spy(name)
+    cases = lstsq_cases()
     train, _ = gen_sinc(300, 10, seed=1)
     train_elm(train, 40, seed=2)
-    h, y = lstsq_cases()["one-hot"]
-    _svd_lstsq(h, y)
-    assert seen == [(40, 40), (20, 20)]
+    _svd_lstsq(*cases["one-hot"])
+    _svd_lstsq(*cases["square"])
+    assert calls == [("lstsq", (300, 40), 300 * EPS),
+                     ("lstsq", (300, 20), 300 * EPS),
+                     ("svd", (50, 50), None)]
 
 
 def test_numerical_rank():

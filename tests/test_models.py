@@ -350,14 +350,18 @@ def test_svd_fit_of_an_all_zero_hidden_matrix():
 
 
 def test_svd_fit_that_does_not_converge_is_a_numerical_failure(monkeypatch):
+    # each driver's LinAlgError: lstsq's for a tall H (10 x 4), svd's for
+    # a square one (10 x 10)
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
-    monkeypatch.setattr(np.linalg, "svd", fail)
     data = regression_data(np.random.default_rng(4), 10, 2)
-    with pytest.raises(NumericalFailure, match="did not converge"):
-        train_elm(data, 4)
-    with pytest.raises(NumericalFailure):
-        train_eelm(data, 4, force_svd=True)
+    for driver, nodes in (("lstsq", 4), ("svd", 10)):
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, driver, fail)
+            with pytest.raises(NumericalFailure, match="did not converge"):
+                train_elm(data, nodes)
+            with pytest.raises(NumericalFailure, match="did not converge"):
+                train_eelm(data, nodes, force_svd=True)
 
 
 def test_pinv_normal_at_blocked_lapack_sizes():
@@ -501,11 +505,18 @@ def test_model_save_load_save_is_byte_identical(tmp_path, make):
 
 def test_negative_seed_is_a_precondition_error():
     data = regression_data(np.random.default_rng(19), 10, 2)
-    for draw in (lambda: train_elm(data, 3, seed=-1),
-                 lambda: train_eelm(data, 3, seed=-1),
-                 lambda: select_hidden_layer(data.inputs, 3, seed=-2),
-                 lambda: gen_sinc(10, 5, seed=-1),
-                 lambda: split(data, 0.5, seed=-3)):
+    draws = [lambda: train_elm(data, 3, seed=-1),
+             lambda: gen_sinc(10, 5, seed=-1),
+             lambda: split(data, 0.5, seed=-3)]
+    # the anchor strategies that draw nothing refuse it too: a model
+    # stores its seed
+    for strategy in models.ANCHOR_STRATEGIES:
+        draws += [lambda s=strategy: train_eelm(data, 3, s, seed=-1),
+                  lambda s=strategy: select_hidden_layer(data.inputs, 3, s,
+                                                         -2)]
+    draws.append(lambda: SlfnModel(np.ones((1, 2)), np.zeros(1),
+                                   np.ones((1, 1)), "eelm", seed=-1))
+    for draw in draws:
         with pytest.raises(PreconditionError, match="seed must be >= 0"):
             draw()
 
@@ -592,12 +603,13 @@ def test_model_file_bad_value_reports_offset(tmp_path):
     assert exc_info.value.offset == expected
 
 
-# a bad seed, an unknown provenance, a hex float too large for float64,
-# an infinite or NaN weight (float.fromhex reads both), a dimension
-# below 1, a misspelt key and a misspelt section are each reported as
-# a FormatError at their own line
+# a bad or negative seed, an unknown provenance, a hex float too large
+# for float64, an infinite or NaN weight (float.fromhex reads both), a
+# dimension below 1, a misspelt key and a misspelt section are each
+# reported as a FormatError at their own line
 @pytest.mark.parametrize("near, shift, replacement", [
     ("seed 1", 0, "seed x"),
+    ("seed 1", 0, "seed -1"),
     ("input_dim 2", 0, "input_dim 0"),
     ("seed 1", 0, "sed 1"),
     ("biases", 0, "bias"),
