@@ -436,7 +436,7 @@ def validate_report(report: dict) -> None:
 
 def report_all_failed(report: dict) -> bool:
     """True when every trial of every algorithm (at every node count)
-    ended in a numeric failure."""
+    ended in an error its record holds."""
     return all(section["failures"] == len(section["trials"])
                for _, _, algos in _entries(report)
                for section in algos.values())

@@ -6,7 +6,7 @@ sweep), ``train`` (fit one model and save it), ``predict`` (apply a
 saved model to new inputs).
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
-failure (including every trial of a benchmark failing numerically).
+failure (including every trial of a benchmark failing, whatever with).
 """
 
 from __future__ import annotations
@@ -186,7 +186,10 @@ def _print_summary(report: dict) -> None:
 def _finish_bench(report: dict) -> int:
     _print_summary(report)
     if report_all_failed(report):
-        print("error: every trial failed numerically", file=sys.stderr)
+        first = next(r["error"] for _, _, algos in _entries(report)
+                     for section in algos.values() for r in section["trials"])
+        print(f"error: every trial failed, the first with {first}",
+              file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
 

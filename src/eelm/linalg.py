@@ -223,8 +223,8 @@ def pinv_normal(a) -> np.ndarray:
     n, k = a.shape
     blocks = _row_blocks(a)
     gram = np.zeros((k, k))
-    # an Inf cell times a zero one is NaN; the diagonal test reports it
-    with np.errstate(invalid="ignore"):
+    # NaN from Inf * 0 and Inf from overflow are both judged below
+    with np.errstate(over="ignore", invalid="ignore"):
         for rows, lo, hi in blocks:
             part = a[rows, lo:hi]
             gram[lo:hi, lo:hi] += part.T @ part

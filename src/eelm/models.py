@@ -170,8 +170,9 @@ def train_elm(data: Dataset, n_hidden: int, seed: int = 0):
     """Random hidden layer, output weights ``H⁺T`` by an SVD solve.
 
     Weights and biases are i.i.d. uniform on [-1, 1] under ``seed``; the
-    same seed and data reproduce the model bit for bit. Only this draw
-    is ELM's own: the rest is the phase two :func:`train_eelm` shares.
+    same seed and data reproduce the model bit for bit with the same
+    BLAS library and thread count. Only this draw is ELM's own: the
+    rest is the phase two :func:`train_eelm` shares.
     With at least twice as many samples as nodes, the solve is one
     ``np.linalg.lstsq`` (LAPACK ``gelsd``) call, which reduces H by QR
     and keeps the singular values of its ``n_hidden`` × ``n_hidden`` R

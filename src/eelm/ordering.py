@@ -1,7 +1,9 @@
 """Inverse lexicographical ordering and the order-preserving affine map.
 
 Vectors in R^d are compared by their *highest-index* differing
-coordinate (inverse dictionary order). For a strictly increasing
+coordinate (inverse dictionary order), as ``np.lexsort(samples.T)``
+sorts them; :func:`invlex_sort_indices` takes that order from one
+argsort when the last attribute has no ties. For a strictly increasing
 sequence of such vectors, :func:`build_embedding` constructs a row
 vector ``W`` of per-attribute scale factors and decimal shifts so that
 the scalar projections ``W @ x`` are strictly increasing in the same
@@ -47,28 +49,18 @@ __all__ = [
 
 
 def invlex_sort_indices(samples) -> np.ndarray:
-    """Indices sorting the rows of ``samples`` into inverse-lex order.
-
-    Equivalent to ``np.lexsort(samples.T)`` but sorts on the deciding
-    (last) attribute alone and refines only runs of tied values, which
-    keeps the cost near one scalar sort for continuous data.
+    """Indices sorting the rows of ``samples`` into inverse-lex order:
+    ``np.lexsort(samples.T)``, taken from one argsort of the last
+    attribute when it has no ties, at about one scalar sort's cost.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError(f"samples must be 2-D, got ndim={x.ndim}")
-    n, d = x.shape
     order = np.argsort(x[:, -1])
-    if d == 1 or n < 2:
-        return order
     last = x[order, -1]
-    tie = last[1:] == last[:-1]
-    if not tie.any():
+    if (last[1:] > last[:-1]).all():
         return order
-    edges = np.flatnonzero(np.diff(np.concatenate(([False], tie, [False]))))
-    for s, e in zip(edges[::2], edges[1::2] + 1):
-        run = order[s:e]
-        order[s:e] = run[np.lexsort(x[run, :d - 1].T)]
-    return order
+    return np.lexsort(x.T)
 
 
 @dataclass(frozen=True)

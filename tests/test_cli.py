@@ -296,6 +296,20 @@ def test_exit_code_all_trials_numeric_failure(tmp_path):
     assert code == 4
 
 
+def test_all_trials_failed_names_the_first_error(tmp_path, capsys):
+    # ten rows, each twice: a 16-row training split holds at most ten
+    # distinct rows, so eleven anchors always repeat one
+    rows = [f"{i},{i * i % 7},{i}" for i in range(1, 11)]
+    path = tmp_path / "dup.csv"
+    path.write_text("a,b,y\n" + "\n".join(rows * 2) + "\n")
+    code = main(["bench", "--csv", str(path), "--target", "y", "--algo",
+                 "eelm", "--nodes", "11", "--trials", "3", "--split", "0.8"])
+    assert code == 4
+    assert capsys.readouterr().err.endswith(
+        "error: every trial failed, the first with PreconditionError: "
+        "samples contain duplicates\n")
+
+
 def test_train_rejects_unknown_model_path(tmp_path):
     code = main(["predict", "--model", str(tmp_path / "none.slfn"), "--csv",
                  str(tmp_path / "none.csv"), "--out",

@@ -1,6 +1,7 @@
 """Inverse-lex order and the order-preserving embedding."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -69,6 +70,8 @@ def test_invlex_compare_is_strict_total_order():
 
 
 def test_invlex_sort_matches_lexsort():
+    # the same indices: distinct last values leave one sorting
+    # permutation, and ties take np.lexsort's own
     rng = np.random.default_rng(11)
     for _ in range(200):
         n = int(rng.integers(1, 40))
@@ -77,7 +80,11 @@ def test_invlex_sort_matches_lexsort():
             x = rng.integers(0, 4, (n, d)).astype(float)  # heavy ties
         else:
             x = rng.uniform(-5, 5, (n, d))
-        assert np.array_equal(x[invlex_sort_indices(x)], x[np.lexsort(x.T)])
+        assert np.array_equal(invlex_sort_indices(x), np.lexsort(x.T))
+    # NaN never compares equal, yet NaN rows are ordered as numpy orders
+    # them too
+    x = np.array([[1.0, np.nan], [0.0, np.nan], [2.0, 1.0], [0.0, 1.0]])
+    assert np.array_equal(invlex_sort_indices(x), np.lexsort(x.T))
 
 
 def test_invlex_sort_agrees_with_compare():
@@ -86,6 +93,34 @@ def test_invlex_sort_agrees_with_compare():
     s = x[invlex_sort_indices(x)]
     for i in range(len(s) - 1):
         assert invlex_compare(s[i], s[i + 1]) == -1
+
+
+def exact_projections(samples, weights) -> list:
+    """``samples @ weights`` in exact rational arithmetic: the float64
+    inputs, each a dyadic rational, multiplied and summed without
+    rounding."""
+    w = [Fraction(float(v)) for v in weights]
+    return [sum(Fraction(float(a)) * b for a, b in zip(row, w))
+            for row in samples]
+
+
+def test_accepted_embeddings_increase_exactly():
+    # the float64 check that accepts an embedding is judged by exact
+    # arithmetic on the same float64 samples and weights (~0.3 s); every
+    # set drawn here, integer or continuous, is accepted
+    rng = np.random.default_rng(41)
+    for i in range(240):
+        d = int(rng.integers(2, 9))
+        n = int(rng.integers(2, 41))
+        if i % 2:
+            x = rng.uniform(-10, 10, (n, d))
+        else:
+            x = np.unique(rng.integers(1, 4, (n, d)).astype(float), axis=0)
+        x = x[invlex_sort_indices(x)]
+        if len(x) < 2:
+            continue
+        proj = exact_projections(x, build_embedding(x).weights)
+        assert all(a < b for a, b in zip(proj, proj[1:]))
 
 
 def projection_gaps(samples, weights):
