@@ -323,12 +323,23 @@ def split(data: Dataset, fraction: float, seed: int):
 
 
 def rmse(pred, target) -> float:
-    """Root mean squared deviation over all n*m entries."""
+    """Root mean squared deviation over all n*m entries.
+
+    Finite inputs never warn. Where the direct formula overflows, the
+    halved differences are scaled by their largest magnitude, giving the
+    float64 RMSE, or inf when that is not representable; where it does
+    not, its bits are kept."""
     p = np.asarray(pred, dtype=np.float64)
     t = np.asarray(target, dtype=np.float64)
     if p.shape != t.shape:
         raise ShapeError(f"shape mismatch {p.shape} vs {t.shape}")
-    return float(np.sqrt(np.mean((p - t) ** 2)))
+    with np.errstate(over="ignore"):
+        value = np.sqrt(np.mean((p - t) ** 2))
+        if np.isinf(value) and np.isfinite(p).all() and np.isfinite(t).all():
+            d = p / 2 - t / 2
+            top = np.abs(d).max()
+            value = top * np.sqrt(np.mean((d / top) ** 2)) * 2
+    return float(value)
 
 
 def classification_rate(pred, target) -> float:

@@ -17,13 +17,14 @@ to the Moore-Penrose generalized inverse are provided:
   (never regularizes) when that is violated. LAPACK's Cholesky is the
   only factorization: the rank certificate is read off its factor, and
   a refused Gram matrix is located by the same call on leading blocks.
-  Its cost follows the non-zero part of ``A``: a matrix larger than
-  ``PINV_BLOCK_CELLS`` is cut into row blocks ordered by their first
-  non-zero column, each block works only on the column range its rows
-  touch, and an all-zero row costs nothing. A dense matrix costs what
-  it did as one Gram product and one product with ``Aᵀ``. A NaN or Inf
-  cell of ``A`` shows in the Gram diagonal, so ``A`` is scanned for one
-  only when that diagonal is not finite.
+  Its cost follows the non-zero part of ``A``: when :func:`_row_slices`
+  cuts ``A`` into row blocks (of ``BLOCK_CELLS`` cells, the one budget
+  of every row-blocked loop over a hidden matrix), its rows are ordered
+  by their first non-zero column, each block works only on the column
+  range its rows touch, and an all-zero row costs nothing. A dense
+  matrix costs what it did as one Gram product and one product with
+  ``Aᵀ``. A NaN or Inf cell of ``A`` shows in the Gram diagonal, so
+  ``A`` is scanned for one only when that diagonal is not finite.
 
 Keeping both paths separate matters: the training code uses the normal-
 equation route precisely because the constructive weight selection
@@ -47,11 +48,11 @@ __all__ = [
     "strict_dominance_report",
 ]
 
-# Cells of A that pinv_normal takes in one row block when A has more.
-# A block's few numpy calls cost little beside its products: on a
-# 10 000 x 1 000 EELM hidden matrix, budgets from 2**15 to 2**19 cells
-# (303 to 19 blocks) timed alike.
-PINV_BLOCK_CELLS = 1 << 18
+# Cells of H in one row block of the Gram pass, the fit's H and predict
+# (see _row_slices): 64 rows x 1000 nodes are 512 kB, inside a 2 MB L2
+# cache. On a 10 000 x 1 000 EELM H, pinv_normal timed alike from 2**14
+# to 2**19 cells; predict was fastest from 2**15 to 2**17.
+BLOCK_CELLS = 1 << 16
 
 # Rows per column from which _svd_lstsq hands A to LAPACK's gelsd. On
 # its own gelsd beat gesdd at every shape timed (0.54 to 0.86 of its
@@ -163,18 +164,27 @@ def _tri_inv(low: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _row_slices(n: int, k: int) -> list:
+    """Slices cutting ``n`` rows of ``k`` columns into blocks of a
+    multiple of 64 rows, at least 64, and ``BLOCK_CELLS`` cells when
+    ``k`` allows. The last block takes the remainder, so no block is a
+    few rows (BLAS computes those on other kernels)."""
+    block = 64 * max(1, BLOCK_CELLS // (64 * max(k, 1)))
+    starts = list(range(0, max(n // block, n > 0) * block, block))
+    return [slice(lo, hi) for lo, hi in zip(starts, starts[1:] + [n])]
+
+
 def _row_blocks(a: np.ndarray) -> list:
     """The row blocks of ``a`` as ``(rows, lo, hi)``: the rows, and the
     column range ``[lo, hi)`` outside which they are zero.
 
-    When ``a`` has at most ``PINV_BLOCK_CELLS`` cells, the one block is
-    all of ``a``, found without a scan. Otherwise the rows are ordered by
-    their first non-zero column and cut into blocks of at most that
-    many cells; an all-zero row is in no block.
+    When :func:`_row_slices` gives ``a`` one slice, the one block is all
+    of ``a``, found without a scan. Otherwise the rows are ordered by
+    their first non-zero column and cut by the same slicer; an all-zero
+    row is in no block.
     """
     n, k = a.shape
-    per_block = max(1, PINV_BLOCK_CELLS // k)
-    if n <= per_block:
+    if len(_row_slices(n, k)) == 1:
         return [(slice(None), 0, k)]
     nonzero = a != 0.0
     first = nonzero.argmax(axis=1)
@@ -183,8 +193,8 @@ def _row_blocks(a: np.ndarray) -> list:
     del nonzero
     order = live[np.argsort(first[live], kind="stable")]
     blocks = []
-    for start in range(0, order.size, per_block):
-        rows = order[start:start + per_block]
+    for piece in _row_slices(order.size, k):
+        rows = order[piece]
         blocks.append((rows, int(first[rows[0]]), int(stop[rows].max())))
     return blocks
 
@@ -200,8 +210,8 @@ def pinv_normal(a) -> np.ndarray:
     ``[lo, hi)`` its rows are non-zero in, both in ``G[lo:hi, lo:hi]``
     and in the rows of ``G⁻¹`` it multiplies, so the cost follows the
     non-zero part of ``A``. The result column of an all-zero row is
-    exactly 0. A dense matrix is one block per ``PINV_BLOCK_CELLS``
-    cells, each spanning every column: the same products as one Gram
+    exactly 0. A dense matrix is one block per :func:`_row_slices`
+    slice, each spanning every column: the same products as one Gram
     matrix and one multiplication by ``Aᵀ``.
 
     The factor certifies full rank when every pivot ratio ``L_jj² / G_jj``

@@ -45,12 +45,6 @@ MODEL_FORMAT = "slfn-model/1"
 # the one activation, named in every model file
 ACTIVATION_TAG = "gaussian-rbf"
 
-# Cells of H that predict builds at once. A block is a multiple of 64
-# rows, at least 64, and at most this many cells when the nodes allow:
-# 64 x 1000 nodes keeps each float64 temporary at 512 kB, inside a
-# 2 MB L2 cache, and the ~20 us each block adds stays small beside it.
-PREDICT_BLOCK_CELLS = 1 << 16
-
 
 @dataclass(frozen=True, eq=False)
 class SlfnModel:
@@ -112,7 +106,9 @@ class TrainReport:
 def build_hidden_matrix(node_weights, biases, inputs) -> np.ndarray:
     """Activation matrix H with H[i, k] = gaussian(W_k . x_i + b_k).
 
-    H is computed in the one (rows, nodes) buffer the product allocates.
+    H is one (rows, nodes) array, filled a row block at a time
+    (:func:`linalg._row_slices`), so each block's product, bias and
+    activation run while it is in cache.
     """
     nw = np.asarray(node_weights, dtype=np.float64)
     b = np.asarray(biases, dtype=np.float64).ravel()
@@ -124,14 +120,17 @@ def build_hidden_matrix(node_weights, biases, inputs) -> np.ndarray:
     if nw.shape[1] != x.shape[1]:
         raise ShapeError(f"nodes have dimension {nw.shape[1]}, inputs "
                          f"{x.shape[1]}")
+    h = np.empty((x.shape[0], nw.shape[0]))
     # a finite |z| above ~1.3e154 squares to inf: exactly the Gaussian's 0
     with np.errstate(over="ignore", invalid="ignore"):
-        z = x @ nw.T
-        z += b
-        if not np.isfinite(z).all():
-            raise NumericOverflowError(
-                "hidden-node pre-activations overflowed")
-        return _gaussian_inplace(z)
+        for rows in linalg._row_slices(*h.shape):
+            z = np.matmul(x[rows], nw.T, out=h[rows])
+            z += b
+            if not np.isfinite(z).all():
+                raise NumericOverflowError(
+                    "hidden-node pre-activations overflowed")
+            _gaussian_inplace(z)
+    return h
 
 
 def _check_train_args(n_hidden: int, n_samples: int) -> None:
@@ -156,6 +155,8 @@ def _fit_output_weights(data: Dataset, node_weights, biases, provenance: str,
     else:
         beta = linalg.pinv_normal(h) @ data.targets
         rank_ok = True  # the Cholesky factor just certified it
+    if not np.isfinite(beta).all():
+        raise NumericOverflowError("output weights overflowed")
     train_seconds = time.perf_counter() - t0
     model = SlfnModel(node_weights, biases, beta, provenance, seed=seed)
     report = TrainReport(
@@ -259,9 +260,9 @@ def train_eelm(data: Dataset, n_hidden: int, anchor_strategy: str = "random",
 def predict(model: SlfnModel, inputs) -> np.ndarray:
     """Evaluate the network on rows of ``inputs``; returns (n, m).
 
-    The hidden matrix is built a block of rows at a time (about
-    ``PREDICT_BLOCK_CELLS`` cells, see there), so memory beyond the
-    output is bounded by two blocks of H whatever n is.
+    The hidden matrix is built one :func:`linalg._row_slices` block of
+    rows at a time, so memory beyond the output is bounded by two blocks
+    of H whatever n is.
     """
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2:
@@ -269,19 +270,10 @@ def predict(model: SlfnModel, inputs) -> np.ndarray:
     if x.shape[1] != model.input_dim:
         raise ShapeError(f"inputs have dimension {x.shape[1]}, model expects "
                          f"{model.input_dim}")
-    n = x.shape[0]
-    out = np.empty((n, model.output_dim))
-    block = 64 * max(1, PREDICT_BLOCK_CELLS // (64 * model.n_hidden))
-    start = 0
-    while start < n:
-        # the last block takes the remainder, so no block is a few rows
-        # (BLAS computes those on other kernels), and up to 2 * block
-        # rows are computed exactly as one product over all of them
-        stop = n if n - start < 2 * block else start + block
-        h = build_hidden_matrix(model.node_weights, model.biases,
-                                x[start:stop])
-        np.matmul(h, model.output_weights, out=out[start:stop])
-        start = stop
+    out = np.empty((x.shape[0], model.output_dim))
+    for rows in linalg._row_slices(x.shape[0], model.n_hidden):
+        h = build_hidden_matrix(model.node_weights, model.biases, x[rows])
+        np.matmul(h, model.output_weights, out=out[rows])
     return out
 
 

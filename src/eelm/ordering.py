@@ -68,12 +68,12 @@ class OrderEmbedding:
     """The constructed per-attribute scalers and exponents.
 
     ``weights[j] == scale1[j] * 10 ** cumsum(exponents)[j]`` exactly as
-    built; ``delta == log10(2 * dim)``; ``diffs_min[j]`` is the smallest
-    positive adjacent difference of rescaled attribute j (1.0 when the
-    attribute has no positive adjacent difference at all).
+    built; ``delta == log10(2 * d)`` for the ``d = weights.size``
+    attributes; ``diffs_min[j]`` is the smallest positive adjacent
+    difference of rescaled attribute j (1.0 when the attribute has no
+    positive adjacent difference at all).
     """
 
-    dim: int
     scale1: np.ndarray
     diffs_min: np.ndarray
     delta: float
@@ -139,8 +139,8 @@ def _construct(x: np.ndarray) -> OrderEmbedding:
         raise NumericOverflowError(
             f"attribute {j}: it decides sorted samples {i} and {i + 1}, "
             f"whose projections do not increase in float64", attribute=j)
-    return OrderEmbedding(dim=d, scale1=scale1, diffs_min=diffs_min,
-                          delta=delta, exponents=exponents, weights=weights)
+    return OrderEmbedding(scale1=scale1, diffs_min=diffs_min, delta=delta,
+                          exponents=exponents, weights=weights)
 
 
 def build_embedding(samples) -> OrderEmbedding:

@@ -483,3 +483,21 @@ def test_train_on_integer_data_beyond_float64_exits_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numeric failure: attribute ")
     assert not (tmp_path / "m.slfn").exists()
+
+
+def test_train_output_weights_that_overflow_exit_4(tmp_path, capsys):
+    # targets alternating +-1e308: ELM's output weights overflow, a
+    # numeric failure; EELM fits them with a representable train RMSE
+    path = tmp_path / "huge.csv"
+    x = np.linspace(-1.0, 1.0, 40)
+    y = np.where(np.arange(40) % 2 == 0, 1e308, -1e308)
+    np.savetxt(path, np.c_[x, y], delimiter=",", header="x,y", comments="")
+    argv = ["train", "--csv", str(path), "--target", "y", "--nodes", "20"]
+    model = tmp_path / "m.slfn"
+    assert main(argv + ["--algo", "elm", "--model-out", str(model)]) == 4
+    assert capsys.readouterr().err == (
+        "numeric failure: output weights overflowed\n")
+    assert not model.exists()
+    assert main(argv + ["--algo", "eelm", "--model-out", str(model)]) == 0
+    assert "train rmse inf" not in capsys.readouterr().out
+    assert model.exists()

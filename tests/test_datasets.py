@@ -218,6 +218,20 @@ def test_rmse_examples():
         rmse(np.ones((2, 2)), np.ones((3, 2)))
 
 
+def test_rmse_of_finite_inputs_is_finite_or_inf_without_a_warning():
+    # the suite turns warnings into errors; none of these may warn
+    assert rmse([[1e200]], [[0.0]]) == 1e200  # the square overflows
+    # the difference overflows too, the root does not: 2e308 / sqrt(4)
+    assert rmse([[1e308], [0.0], [0.0], [0.0]],
+                [[-1e308], [0.0], [0.0], [0.0]]) == 1e308
+    assert rmse([[1e308]], [[-1e308]]) == math.inf
+    # inputs whose squares stay finite keep the direct formula's bits
+    rng = np.random.default_rng(3)
+    for scale in (1e-300, 1.0, 1e150):
+        p, t = rng.normal(size=(2, 50, 3)) * scale
+        assert rmse(p, t) == float(np.sqrt(np.mean((p - t) ** 2)))
+
+
 def test_classification_rate_examples():
     t = np.array([[1.0, 0.0], [0.0, 1.0]])
     assert classification_rate(t, t) == 1.0

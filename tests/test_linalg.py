@@ -5,8 +5,8 @@ import pytest
 
 from eelm.datasets import gen_sinc
 from eelm.errors import PreconditionError, RankDeficientError, ShapeError
-from eelm.linalg import (PINV_BLOCK_CELLS, _row_blocks, _svd_lstsq, _tri_inv,
-                         numerical_rank, pinv_normal, pinv_svd,
+from eelm.linalg import (BLOCK_CELLS, _row_blocks, _row_slices, _svd_lstsq,
+                         _tri_inv, numerical_rank, pinv_normal, pinv_svd,
                          strict_dominance_report)
 from eelm.models import build_hidden_matrix, select_hidden_layer, train_elm
 
@@ -159,13 +159,43 @@ def test_pinv_normal_on_eelm_hidden_matrix_with_zero_rows():
     assert np.array_equal(got[:, zero], np.zeros((300, zero.sum())))
 
 
+def block_rows(k):
+    """Rows of a row block of k columns: a multiple of 64, at least 64,
+    and at most BLOCK_CELLS cells when k allows."""
+    return 64 * max(1, BLOCK_CELLS // (64 * k))
+
+
+@pytest.mark.parametrize("k", [1, 20, 100, 1000, 1025, 5000])
+def test_row_slices_cut_whole_blocks_and_a_remainder(k):
+    block = block_rows(k)
+    assert block % 64 == 0 and block >= 64
+    assert block * k <= BLOCK_CELLS or block == 64
+    assert _row_slices(0, k) == []
+    for n in (1, block - 1, block, 2 * block - 1, 2 * block,
+              3 * block + 7, 6 * block - 1):
+        slices = _row_slices(n, k)
+        # contiguous, from 0 to n, every block whole but the last, which
+        # takes the remainder: at least one block and under two
+        assert slices[0].start == 0 and slices[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
+        assert all(s.stop - s.start == block for s in slices[:-1])
+        last = slices[-1].stop - slices[-1].start
+        assert last < 2 * block and (last >= block or len(slices) == 1)
+        assert len(slices) == max(1, n // block)
+
+
 def test_pinv_normal_around_one_block():
     rng = np.random.default_rng(18)
     k = 100
-    block = PINV_BLOCK_CELLS // k
-    for n in (block - 1, block, block + 1):
+    # fewer than two blocks' rows are one slice, found without a scan
+    two = 2 * block_rows(k)
+    for n in (two - 1, two, two + 1):
         a = banded(rng, n, k, 12)
-        assert len(_row_blocks(a)) == (1 if n <= block else 2)
+        blocks = _row_blocks(a)
+        if n < two:
+            assert blocks == [(slice(None), 0, k)]
+        else:
+            assert len(blocks) == 2
         assert np.abs(pinv_normal(a) - pinv_svd(a)).max() <= 1e-8
 
 
@@ -177,9 +207,10 @@ def test_pinv_normal_one_block_needs_no_scan():
 def test_pinv_normal_dense_matrix_over_several_blocks():
     rng = np.random.default_rng(20)
     k = 50
-    a = rng.uniform(-1.0, 1.0, (3 * (PINV_BLOCK_CELLS // k) + 17, k))
+    block = block_rows(k)
+    a = rng.uniform(-1.0, 1.0, (4 * block + 17, k))
     blocks = _row_blocks(a)
-    assert len(blocks) == 4
+    assert [len(rows) for rows, _, _ in blocks] == [block] * 3 + [block + 17]
     assert all((lo, hi) == (0, k) for _, lo, hi in blocks)
     assert np.abs(pinv_normal(a) - pinv_svd(a)).max() <= 1e-8
 
@@ -190,7 +221,7 @@ def test_pinv_normal_non_finite_cell_in_a_zero_row(cell):
     # and its column's Gram diagonal, whatever the block it falls in
     rng = np.random.default_rng(22)
     k = 100
-    a = banded(rng, 3 * (PINV_BLOCK_CELLS // k), k, 10)
+    a = banded(rng, 3 * block_rows(k), k, 10)
     a[500] = 0.0
     a[500, 40] = cell
     with pytest.raises(PreconditionError,
@@ -202,7 +233,7 @@ def test_pinv_normal_non_finite_cell_in_a_zero_row(cell):
 def test_pinv_normal_finite_overflowing_cell_is_rank_deficient():
     rng = np.random.default_rng(23)
     k = 100
-    a = banded(rng, 3 * (PINV_BLOCK_CELLS // k), k, 10)
+    a = banded(rng, 3 * block_rows(k), k, 10)
     a[500, 40] = 1e200
     with pytest.raises(RankDeficientError):
         pinv_normal(a)
@@ -211,7 +242,7 @@ def test_pinv_normal_finite_overflowing_cell_is_rank_deficient():
 def test_pinv_normal_names_a_dependent_column_in_a_later_block():
     rng = np.random.default_rng(21)
     k = 200
-    a = banded(rng, 3 * (PINV_BLOCK_CELLS // k), k, 10)
+    a = banded(rng, 3 * block_rows(k), k, 10)
     j = k - 5
     a[:, j] = a[:, j - 1]
     assert len(_row_blocks(a)) == 3

@@ -1,6 +1,7 @@
 """Training algorithms, prediction, and model serialization."""
 
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -14,10 +15,10 @@ from eelm.errors import (FormatError, NumericalFailure, NumericOverflowError,
                          PreconditionError, ShapeError)
 from eelm.linalg import (numerical_rank, pinv_normal, pinv_svd,
                          strict_dominance_report)
-from eelm import models
-from eelm.models import (PREDICT_BLOCK_CELLS, SlfnModel, build_hidden_matrix,
-                         load_model, predict, save_model, select_hidden_layer,
-                         train_eelm, train_elm)
+from eelm import linalg, models
+from eelm.models import (SlfnModel, build_hidden_matrix, load_model, predict,
+                         save_model, select_hidden_layer, train_eelm,
+                         train_elm)
 from eelm.ordering import embed_or_identity, invlex_sort_indices
 
 
@@ -81,6 +82,32 @@ def test_hidden_matrix_is_exp_bit_for_bit_on_workload_inputs(tmp_path,
                     np.exp(-(z * z)).view(np.uint64))
 
 
+@pytest.mark.parametrize("n_hidden", [20, 1000])
+def test_hidden_matrix_over_several_blocks_is_the_elementwise_oracle(
+        n_hidden):
+    # multiples of 1/64 in [-2, 2]: every W_k . x_i + b_k is exact in
+    # float64, whatever the order or fusion of BLAS's operations
+    rng = np.random.default_rng(n_hidden)
+    nodes = rng.integers(-128, 129, (n_hidden, 3)) / 64
+    biases = rng.integers(-128, 129, n_hidden) / 64
+    inputs = rng.integers(-128, 129, (3 * _block_rows(n_hidden) + 7, 3)) / 64
+    assert len(linalg._row_slices(len(inputs), n_hidden)) == 3
+    z = np.array([[math.fsum([*(row * node), bias])
+                   for node, bias in zip(nodes, biases)] for row in inputs])
+    h = build_hidden_matrix(nodes, biases, inputs)
+    assert np.array_equal(h.view(np.uint64),
+                          np.exp(-(z * z)).view(np.uint64))
+
+
+def test_hidden_matrix_overflow_in_a_later_block():
+    nodes = np.ones((1000, 2))
+    inputs = np.zeros((3 * _block_rows(1000), 2))
+    inputs[-1, 0] = 1e308
+    inputs[-1, 1] = 1e308
+    with pytest.raises(NumericOverflowError, match="overflowed"):
+        build_hidden_matrix(nodes, np.zeros(1000), inputs)
+
+
 def test_hidden_matrix_shape_checks():
     with pytest.raises(ShapeError):
         build_hidden_matrix(np.ones((2, 3)), np.ones(1), np.ones((4, 3)))
@@ -102,6 +129,20 @@ def test_train_elm_single_sample_exact():
     assert model.output_weights[0, 0] == pytest.approx(3.0 / h, rel=1e-12)
     assert report.train_metric <= 1e-12
     assert report.pinv_path == "svd"
+
+
+def test_output_weights_that_overflow_are_a_numeric_failure():
+    # targets alternating +-1e308 on 40 points: ELM's beta overflows,
+    # whichever solve found it; EELM's stays finite, and so does its RMSE
+    x = np.linspace(-1.0, 1.0, 40)[:, None]
+    y = np.where(np.arange(40) % 2 == 0, 1e308, -1e308)[:, None]
+    data = Dataset("huge", REGRESSION, x, y)
+    with pytest.raises(NumericOverflowError,
+                       match="^output weights overflowed$"):
+        train_elm(data, 20, seed=0)
+    model, report = train_eelm(data, 20, seed=0)
+    assert np.isfinite(model.output_weights).all()
+    assert 1e307 < report.train_metric < 1e308
 
 
 def test_train_elm_deterministic_under_seed():
@@ -405,7 +446,8 @@ def _random_model(rng, n_hidden, d=3, m=2):
 
 
 def _block_rows(n_hidden):
-    return 64 * max(1, PREDICT_BLOCK_CELLS // (64 * n_hidden))
+    """Rows of a whole row block of H: the first of several slices."""
+    return linalg._row_slices(3 * linalg.BLOCK_CELLS, n_hidden)[0].stop
 
 
 @pytest.mark.parametrize("n_hidden", [20, 1000, 3000])
