@@ -114,9 +114,11 @@ class CsvSchema:
 
 def _read_csv(path) -> tuple[list[str], list[list[str]]]:
     """Header and data rows of an RFC-4180-style CSV (header row
-    required, UTF-8); every row must be as wide as the header."""
+    required, UTF-8); every row must be as wide as the header. A UTF-8
+    byte-order mark, with which spreadsheets start "CSV UTF-8" files, is
+    read as one and not as part of the first header cell."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             try:
                 header = next(reader)
@@ -237,8 +239,12 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
 
 
 def _check_seed(seed: int) -> None:
-    """The seed rule, wherever a seed is drawn from or stored: a negative
-    seed is a PreconditionError."""
+    """The seed rule, wherever a seed is drawn from or stored: a seed is
+    a non-negative integer, a Python or numpy one. A bool, a float (2.0
+    too) or a negative value is a PreconditionError, so a model never
+    stores a seed that its file cannot read back."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise PreconditionError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise PreconditionError(f"seed must be >= 0, got {seed}")
 
@@ -267,14 +273,17 @@ def gen_sinc(n_train: int, n_test: int, seed: int, noise_sigma: float = 0.0,
     inputs are random on [-30, 30], drawn uniformly by default or from
     a truncated standard normal scaled to the interval
     (``test_distribution="normal"``). Optional Gaussian noise (standard
-    deviation ``noise_sigma``) is added to the training targets only.
+    deviation ``noise_sigma``) is added to the training targets only;
+    ``noise_sigma`` must be a finite number >= 0, so NaN is refused
+    rather than read as no noise.
     """
     if n_train < 2:
         raise PreconditionError(f"need n_train >= 2, got {n_train}")
     if n_test < 1:
         raise PreconditionError(f"need n_test >= 1, got {n_test}")
-    if noise_sigma < 0:
-        raise PreconditionError("noise_sigma must be >= 0")
+    if not (math.isfinite(noise_sigma) and noise_sigma >= 0.0):
+        raise PreconditionError(
+            f"noise_sigma must be a finite number >= 0, got {noise_sigma}")
     rng = _rng(seed)
     xtr = np.linspace(-10.0, 10.0, n_train)
     ytr = sinc(xtr)

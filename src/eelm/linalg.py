@@ -70,20 +70,22 @@ _TRI_LEAF = 64
 
 
 def _as_2d(a, name: str) -> np.ndarray:
-    """``a`` as a 2-D float64 array with at least one row and column;
-    ShapeError otherwise."""
+    """``a`` as a 2-D float64 array with at least one column, the one
+    check of an array argument in the numeric core; otherwise ShapeError
+    naming ``name`` and the shape. Rows are not limited."""
     arr = np.asarray(a, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ShapeError(f"{name} must be 2-D, got ndim={arr.ndim}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ShapeError(f"{name} must have at least one row and column, "
+    if arr.ndim != 2 or arr.shape[1] < 1:
+        raise ShapeError(f"{name} must be 2-D with at least one column, "
                          f"got shape {arr.shape}")
     return arr
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
-    """:func:`_as_2d`, and PreconditionError for NaN/Inf entries."""
+    """:func:`_as_2d` with at least one row (ShapeError), and
+    PreconditionError for NaN/Inf entries."""
     arr = _as_2d(a, name)
+    if arr.shape[0] < 1:
+        raise ShapeError(f"{name} has no rows, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise PreconditionError(f"{name} contains non-finite entries")
     return arr
@@ -231,6 +233,8 @@ def pinv_normal(a) -> np.ndarray:
     """
     a = _as_2d(a, "pinv_normal input")
     n, k = a.shape
+    if n < 1:
+        raise ShapeError(f"pinv_normal input has no rows, got shape {a.shape}")
     blocks = _row_blocks(a)
     gram = np.zeros((k, k))
     # NaN from Inf * 0 and Inf from overflow are both judged below

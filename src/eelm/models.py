@@ -51,7 +51,7 @@ class SlfnModel:
     """A trained network, whole in its arrays W, b and beta. Its sizes
     are read off their shapes (k, d), (k,) and (k, m), each at least 1
     as the model file requires, so every saved model loads back. A
-    seed, when stored, is not negative."""
+    seed, when stored, is a non-negative integer."""
 
     node_weights: np.ndarray    # (n_hidden, input_dim)
     biases: np.ndarray          # (n_hidden,)
@@ -110,11 +110,9 @@ def build_hidden_matrix(node_weights, biases, inputs) -> np.ndarray:
     (:func:`linalg._row_slices`), so each block's product, bias and
     activation run while it is in cache.
     """
-    nw = np.asarray(node_weights, dtype=np.float64)
+    nw = linalg._as_2d(node_weights, "node_weights")
     b = np.asarray(biases, dtype=np.float64).ravel()
-    x = np.asarray(inputs, dtype=np.float64)
-    if nw.ndim != 2 or x.ndim != 2:
-        raise ShapeError("node_weights and inputs must be 2-D")
+    x = linalg._as_2d(inputs, "inputs")
     if nw.shape[0] != b.size:
         raise ShapeError(f"{nw.shape[0]} nodes but {b.size} biases")
     if nw.shape[1] != x.shape[1]:
@@ -218,9 +216,7 @@ def select_hidden_layer(inputs, n_hidden: int, anchor_strategy: str = "random",
     sort. A negative ``seed`` is a PreconditionError under every
     strategy, drawn from or not: a model stores it.
     """
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"inputs must be 2-D, got ndim={x.ndim}")
+    x = linalg._as_2d(inputs, "inputs")
     _check_train_args(n_hidden, x.shape[0])
     _check_seed(seed)
     idx = _choose_anchors(x.shape[0], n_hidden, anchor_strategy, seed, x)
@@ -264,9 +260,7 @@ def predict(model: SlfnModel, inputs) -> np.ndarray:
     rows at a time, so memory beyond the output is bounded by two blocks
     of H whatever n is.
     """
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"inputs must be 2-D, got ndim={x.ndim}")
+    x = linalg._as_2d(inputs, "inputs")
     if x.shape[1] != model.input_dim:
         raise ShapeError(f"inputs have dimension {x.shape[1]}, model expects "
                          f"{model.input_dim}")

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericOverflowError, PreconditionError, ShapeError
+from .errors import NumericOverflowError, PreconditionError
+from .linalg import _as_2d
 
 __all__ = [
     "invlex_sort_indices",
@@ -53,9 +54,7 @@ def invlex_sort_indices(samples) -> np.ndarray:
     ``np.lexsort(samples.T)``, taken from one argsort of the last
     attribute when it has no ties, at about one scalar sort's cost.
     """
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"samples must be 2-D, got ndim={x.ndim}")
+    x = _as_2d(samples, "samples")
     order = np.argsort(x[:, -1])
     last = x[order, -1]
     if (last[1:] > last[:-1]).all():
@@ -153,9 +152,7 @@ def build_embedding(samples) -> OrderEmbedding:
     in float64; where they cannot, NumericOverflowError names the
     attribute that decides the first failing pair.
     """
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"samples must be 2-D, got ndim={x.ndim}")
+    x = _as_2d(samples, "samples")
     n, d = x.shape
     if n < 2:
         raise PreconditionError(f"need at least 2 samples, got {n}")
@@ -178,9 +175,7 @@ def embed_or_identity(samples) -> np.ndarray:
     input. Produces exactly the weights
     :func:`build_embedding` would on the pre-sorted samples.
     """
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"samples must be 2-D, got ndim={x.ndim}")
+    x = _as_2d(samples, "samples")
     if x.shape[0] < 1:
         raise PreconditionError("samples must be non-empty")
     return _sorted_weights(x[invlex_sort_indices(x)])

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericOverflowError, PreconditionError, ShapeError
+from .linalg import _as_2d
 
 __all__ = ["gaussian", "cutoff_radius", "SelectionParams", "select_weights",
            "row_dot"]
@@ -107,10 +108,8 @@ def select_weights(anchors, weights) -> SelectionParams:
     duplicate projections — raise NumericOverflowError rather than
     producing non-finite weights.
     """
-    x = np.asarray(anchors, dtype=np.float64)
+    x = _as_2d(anchors, "anchors")
     w = np.asarray(weights, dtype=np.float64).ravel()
-    if x.ndim != 2:
-        raise ShapeError(f"anchors must be 2-D, got ndim={x.ndim}")
     n0, d = x.shape
     if w.size != d:
         raise ShapeError(f"weights have length {w.size}, anchors have "

@@ -259,6 +259,19 @@ def test_negative_seed_is_a_configuration_error(tmp_path, monkeypatch,
     assert not (tmp_path / "m.slfn").exists()
 
 
+@pytest.mark.parametrize("noise", ["nan", "inf"])
+def test_sinc_noise_that_is_not_a_finite_number_exits_2(tmp_path, capsys,
+                                                        noise):
+    out = tmp_path / "r.json"
+    code = main(["sinc", "--nodes", "10", "--n-train", "40", "--n-test",
+                 "10", "--trials", "2", "--noise", noise, "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: noise_sigma must be a finite number >= 0, "
+        f"got {float(noise)}\n")
+    assert not out.exists()
+
+
 def test_train_svd_failure_exits_4(tmp_path, monkeypatch, capsys):
     # each driver's failure: lstsq's for the tall 40 x 5 H, svd's for the
     # square 40 x 40 one

@@ -103,6 +103,16 @@ def test_load_csv_missing_target_column(tmp_path):
         load_csv(path, CsvSchema(target="y"))
 
 
+def test_load_csv_reads_a_utf8_byte_order_mark_as_one(tmp_path):
+    # as spreadsheets write "CSV UTF-8": the mark precedes the first
+    # header cell, here the target
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbfx1,x2,y\r\n1,2,3\r\n4,5,6\r\n")
+    data = load_csv(path, CsvSchema(target="x1"))
+    assert np.array_equal(data.targets, [[1], [4]])
+    assert np.array_equal(data.inputs, [[2, 3], [5, 6]])
+
+
 def test_load_csv_multi_target_regression(tmp_path):
     path = write(tmp_path, "m2.csv", "a,y1,y2\n1,2,3\n4,5,6\n")
     data = load_csv(path, CsvSchema(target=("y1", "y2")))
@@ -173,6 +183,15 @@ def test_gen_sinc_validation():
         gen_sinc(1, 10, seed=0)
     with pytest.raises(PreconditionError):
         gen_sinc(10, 10, seed=0, noise_sigma=-1.0)
+
+
+@pytest.mark.parametrize("noise", [math.nan, math.inf])
+def test_gen_sinc_refuses_noise_that_is_not_a_finite_number(noise):
+    # NaN would add no noise (nan > 0 is false); inf would fail later as
+    # "non-finite values" without naming the setting
+    with pytest.raises(PreconditionError, match="noise_sigma must be a "
+                                                "finite number >= 0"):
+        gen_sinc(10, 10, seed=0, noise_sigma=noise)
 
 
 def test_split_sizes_and_partition():

@@ -19,7 +19,9 @@ from eelm import linalg, models
 from eelm.models import (SlfnModel, build_hidden_matrix, load_model, predict,
                          save_model, select_hidden_layer, train_eelm,
                          train_elm)
-from eelm.ordering import embed_or_identity, invlex_sort_indices
+from eelm.ordering import (build_embedding, embed_or_identity,
+                           invlex_sort_indices)
+from eelm.selection import select_weights
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -439,6 +441,35 @@ def test_predict_validates_dimensions():
         predict(model, np.ones((3, 5)))
 
 
+# every public entry of the numeric core with an array argument, each
+# given the array ``a`` in its place, and the name it reports
+_ARRAY_ENTRIES = {
+    "build_hidden_matrix(node_weights)": ("node_weights", lambda a:
+        build_hidden_matrix(a, np.zeros(len(a)), np.ones((4, a.shape[-1])))),
+    "build_hidden_matrix(inputs)": ("inputs", lambda a:
+        build_hidden_matrix(np.ones((2, 1)), np.zeros(2), a)),
+    "select_hidden_layer": ("inputs", lambda a: select_hidden_layer(a, 1)),
+    "predict": ("inputs", lambda a: predict(
+        SlfnModel(np.ones((1, 1)), np.zeros(1), np.ones((1, 1)), "eelm"), a)),
+    "invlex_sort_indices": ("samples", invlex_sort_indices),
+    "build_embedding": ("samples", build_embedding),
+    "embed_or_identity": ("samples", embed_or_identity),
+    "select_weights": ("anchors", lambda a:
+        select_weights(a, np.ones(a.shape[-1]))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ARRAY_ENTRIES))
+@pytest.mark.parametrize("shape", [(3, 0), (1, 0), (3,)])
+def test_every_array_argument_is_checked_by_one_rule(entry, shape):
+    # linalg._as_2d: 2-D with at least one column, or a ShapeError that
+    # names the argument and its shape
+    name, call = _ARRAY_ENTRIES[entry]
+    with pytest.raises(ShapeError, match=rf"^{name} must be 2-D with at "
+                                         rf"least one column, got shape"):
+        call(np.ones(shape))
+
+
 def _random_model(rng, n_hidden, d=3, m=2):
     return SlfnModel(rng.uniform(-1, 1, (n_hidden, d)),
                      rng.uniform(-1, 1, n_hidden),
@@ -561,6 +592,30 @@ def test_negative_seed_is_a_precondition_error():
     for draw in draws:
         with pytest.raises(PreconditionError, match="seed must be >= 0"):
             draw()
+
+
+@pytest.mark.parametrize("seed", [True, False, 1.5, 2.0, "1", None])
+def test_a_seed_that_is_not_an_integer_is_a_precondition_error(seed):
+    data = regression_data(np.random.default_rng(19), 10, 2)
+    draws = [lambda: train_elm(data, 3, seed=seed),
+             lambda: train_eelm(data, 3, seed=seed),
+             lambda: train_eelm(data, 3, "first", seed=seed)]
+    if seed is not None:  # a model without a seed stores none
+        draws.append(lambda: SlfnModel(np.ones((1, 2)), np.zeros(1),
+                                       np.ones((1, 1)), "eelm", seed=seed))
+    for draw in draws:
+        with pytest.raises(PreconditionError, match="seed must be an integer"):
+            draw()
+
+
+def test_a_numpy_integer_seed_trains_and_round_trips(tmp_path):
+    data = regression_data(np.random.default_rng(19), 10, 2)
+    for train in (train_elm, train_eelm):
+        model, _ = train(data, 3, seed=np.int64(4))
+        same, _ = train(data, 3, seed=4)
+        assert np.array_equal(model.output_weights, same.output_weights)
+        save_model(model, tmp_path / "model.slfn")
+        assert load_model(tmp_path / "model.slfn").seed == 4
 
 
 def test_model_roundtrip_bit_exact(tmp_path):
