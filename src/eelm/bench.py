@@ -244,6 +244,7 @@ def run_sinc(config: ExperimentConfig) -> dict:
     config.validate()
     if config.nodes is None:
         raise PreconditionError("sinc experiment needs a node count")
+    _refuse_unused_source(False, _changed(config), "a sinc experiment")
     # one data set for every trial: only the random layer varies
     train_ds, test_ds = _sinc_data(config, config.seed)
     report = _base_report("sinc", config, REGRESSION)
@@ -285,6 +286,7 @@ def run_dataset(config: ExperimentConfig) -> dict:
         raise PreconditionError("dataset experiment needs a node count")
     if config.plot_path:
         raise PreconditionError("dataset experiment writes no plot data")
+    _refuse_unused_source(True, _changed(config), "a dataset experiment")
     data, source = _csv_source(config)
     report = _base_report("dataset", config, data.task)
     [(report["algorithms"], _)] = _run_trials(config, (config.nodes,), source)
@@ -294,19 +296,26 @@ def run_dataset(config: ExperimentConfig) -> dict:
 
 
 _SINC_FIELDS = ("n_train", "n_test", "noise_sigma", "test_distribution")
-_CSV_FIELDS = ("split_fraction", "csv_schema")
+_CSV_FIELDS = ("csv_path", "split_fraction", "csv_schema")
 
 
-def _refuse_unused_source(csv_sweep: bool, changed: dict) -> None:
-    """A sweep reads the CSV when ``csv_sweep`` and sinc otherwise; the
-    report would record, unused, the other source's settings. ``changed``
-    maps each setting off its default to the names it was set by."""
-    names = [name for field in (_SINC_FIELDS if csv_sweep else _CSV_FIELDS)
+def _changed(config: ExperimentConfig) -> dict:
+    """The source settings of ``config`` off their defaults, by field."""
+    return {field: [field] for field in _SINC_FIELDS + _CSV_FIELDS
+            if getattr(config, field) != getattr(ExperimentConfig, field)}
+
+
+def _refuse_unused_source(csv: bool, changed: dict,
+                          runner: str | None = None) -> None:
+    """A runner reads the CSV when ``csv`` and sinc otherwise; its report
+    would record, unused, the other source's settings. ``changed`` maps
+    each setting off its default to the names it was set by. ``runner``
+    names the experiment; a sweep by default, which reads either."""
+    names = [name for field in (_SINC_FIELDS if csv else _CSV_FIELDS)
              for name in changed.get(field, ())]
     if names:
-        source = "a CSV" if csv_sweep else "sinc"
-        raise PreconditionError(
-            f"a sweep over {source} does not use {', '.join(names)}")
+        runner = runner or f"a sweep over {'a CSV' if csv else 'sinc'}"
+        raise PreconditionError(f"{runner} does not use {', '.join(names)}")
 
 
 def run_node_sweep(config: ExperimentConfig) -> dict:
@@ -314,9 +323,7 @@ def run_node_sweep(config: ExperimentConfig) -> dict:
     config.validate()
     if not config.node_sweep:
         raise PreconditionError("sweep experiment needs a node_sweep list")
-    _refuse_unused_source(config.csv_path is not None, {
-        field: [field] for field in _SINC_FIELDS + _CSV_FIELDS
-        if getattr(config, field) != getattr(ExperimentConfig, field)})
+    _refuse_unused_source(config.csv_path is not None, _changed(config))
     if config.csv_path is not None:
         data, source = _csv_source(config)
         task = data.task

@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FormatError, PreconditionError, ShapeError
+from .linalg import _as_matrix
 
 __all__ = [
     "REGRESSION", "CLASSIFICATION", "Dataset", "CsvSchema", "load_csv",
@@ -31,8 +32,9 @@ CLASSIFICATION = "classification"
 class Dataset:
     """Labeled samples: inputs (n x d) and targets (n x m).
 
-    Regression targets are raw values (m columns); classification
-    targets are one-hot rows over ``class_labels``.
+    Both pass ``linalg._as_matrix``. Regression targets are raw values
+    (m columns); classification targets are one-hot rows over
+    ``class_labels``.
     """
 
     name: str
@@ -42,19 +44,11 @@ class Dataset:
     class_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        inputs = np.asarray(self.inputs, dtype=np.float64)
-        targets = np.asarray(self.targets, dtype=np.float64)
-        if inputs.ndim != 2 or targets.ndim != 2 or \
-                0 in (inputs.shape[1], targets.shape[1]):
-            raise ShapeError("inputs and targets must be 2-D, with at least "
-                             "one column each")
+        inputs = _as_matrix(self.inputs, "inputs")
+        targets = _as_matrix(self.targets, "targets")
         if inputs.shape[0] != targets.shape[0]:
             raise ShapeError(
                 f"{inputs.shape[0]} inputs but {targets.shape[0]} targets")
-        if inputs.shape[0] < 1:
-            raise PreconditionError("dataset must contain at least one sample")
-        if not (np.isfinite(inputs).all() and np.isfinite(targets).all()):
-            raise PreconditionError("dataset contains non-finite values")
         if self.task not in (REGRESSION, CLASSIFICATION):
             raise PreconditionError(f"unknown task {self.task!r}")
         if self.task == CLASSIFICATION:
@@ -195,12 +189,24 @@ def _read_features(path) -> np.ndarray:
     return _numeric_cells(rows, range(len(header)), path)
 
 
+def _refuse_repeats(names, what: str, error, **where) -> None:
+    """Raise ``error`` naming the first of ``names`` given twice."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise error(f"{what} {name!r} is given twice", **where)
+        seen.add(name)
+
+
 def load_csv(path, schema: CsvSchema) -> Dataset:
     """Load an RFC-4180-style CSV (header row required, UTF-8).
 
-    Non-target columns are numeric attributes, and so are regression
-    targets; a cell that does not parse, or holds inf or nan, is
-    rejected with its 1-based data-row and column numbers.
+    A target named twice (PreconditionError) or a header that repeats a
+    name after stripping (FormatError) would read one column as two, and
+    is refused. Non-target columns are numeric
+    attributes, and so are regression targets; a cell that does not
+    parse, or holds inf or nan, is rejected with its 1-based data-row
+    and column numbers.
     Classification label columns may hold arbitrary strings and are
     one-hot encoded in first-seen order.
     """
@@ -210,8 +216,10 @@ def load_csv(path, schema: CsvSchema) -> Dataset:
     if schema.task == CLASSIFICATION and len(targets_wanted) != 1:
         raise PreconditionError(
             "classification expects exactly one label column")
+    _refuse_repeats(targets_wanted, "target", PreconditionError)
     header, rows = _read_csv(path)
     header = [h.strip() for h in header]
+    _refuse_repeats(header, "header column", FormatError, path=str(path))
     for col in targets_wanted:
         if col not in header:
             raise FormatError(f"target column {col!r} not in header {header}",

@@ -81,8 +81,9 @@ def _as_2d(a, name: str) -> np.ndarray:
 
 
 def _as_matrix(a, name: str) -> np.ndarray:
-    """:func:`_as_2d` with at least one row (ShapeError), and
-    PreconditionError for NaN/Inf entries."""
+    """The one check of a data matrix: :func:`_as_2d` with at least one
+    row (ShapeError), and PreconditionError naming ``name`` for NaN/Inf
+    entries; up front in ``Dataset``/``SlfnModel``, lazily in hot loops."""
     arr = _as_2d(a, name)
     if arr.shape[0] < 1:
         raise ShapeError(f"{name} has no rows, got shape {arr.shape}")

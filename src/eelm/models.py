@@ -50,8 +50,9 @@ ACTIVATION_TAG = "gaussian-rbf"
 class SlfnModel:
     """A trained network, whole in its arrays W, b and beta. Its sizes
     are read off their shapes (k, d), (k,) and (k, m), each at least 1
-    as the model file requires, so every saved model loads back. A
-    seed, when stored, is a non-negative integer."""
+    as the model file requires, so every saved model loads back; W, b
+    and beta pass ``linalg._as_matrix``. A seed, when stored, is a
+    non-negative integer."""
 
     node_weights: np.ndarray    # (n_hidden, input_dim)
     biases: np.ndarray          # (n_hidden,)
@@ -63,23 +64,19 @@ class SlfnModel:
     output_dim: int = field(init=False)
 
     def __post_init__(self):
-        nw = np.asarray(self.node_weights, dtype=np.float64)
+        nw = linalg._as_matrix(self.node_weights, "node_weights")
         b = np.asarray(self.biases, dtype=np.float64).ravel()
-        ow = np.asarray(self.output_weights, dtype=np.float64)
-        if nw.ndim != 2 or ow.ndim != 2 or 0 in nw.shape or 0 in ow.shape \
-                or b.shape != nw.shape[:1] or ow.shape[0] != nw.shape[0]:
+        ow = linalg._as_matrix(self.output_weights, "output_weights")
+        if b.shape != nw.shape[:1] or ow.shape[0] != nw.shape[0]:
             raise ShapeError(
                 f"node_weights {nw.shape}, biases {b.shape} and "
-                f"output_weights {ow.shape} are not (k, d), (k,) and (k, m) "
-                f"with k, d, m >= 1")
+                f"output_weights {ow.shape} are not (k, d), (k,) and (k, m)")
+        linalg._as_matrix(b[None], "biases")
         if self.provenance not in ALGORITHMS:
             raise PreconditionError(f"unknown provenance {self.provenance!r}")
         if self.seed is not None:
             _check_seed(self.seed)
-        for name, arr in (("node_weights", nw), ("biases", b),
-                          ("output_weights", ow)):
-            if not np.isfinite(arr).all():
-                raise PreconditionError(f"{name} contain non-finite values")
+        for name, arr in zip(_SECTIONS, (nw, b, ow)):
             object.__setattr__(self, name, arr)
         for name, size in zip(("n_hidden", "input_dim", "output_dim"),
                               (*nw.shape, ow.shape[1])):
@@ -108,7 +105,9 @@ def build_hidden_matrix(node_weights, biases, inputs) -> np.ndarray:
 
     H is one (rows, nodes) array, filled a row block at a time
     (:func:`linalg._row_slices`), so each block's product, bias and
-    activation run while it is in cache.
+    activation run while it is in cache. When a block's pre-activations
+    are not finite, its arguments are judged by ``linalg._as_matrix``;
+    if they pass, the block overflowed (NumericOverflowError).
     """
     nw = linalg._as_2d(node_weights, "node_weights")
     b = np.asarray(biases, dtype=np.float64).ravel()
@@ -125,6 +124,9 @@ def build_hidden_matrix(node_weights, biases, inputs) -> np.ndarray:
             z = np.matmul(x[rows], nw.T, out=h[rows])
             z += b
             if not np.isfinite(z).all():
+                linalg._as_matrix(x[rows], "inputs")
+                linalg._as_matrix(nw, "node_weights")
+                linalg._as_matrix(b[None], "biases")
                 raise NumericOverflowError(
                     "hidden-node pre-activations overflowed")
             _gaussian_inplace(z)

@@ -11,8 +11,8 @@ the peak: the matrix is strictly diagonally dominant (in the strong,
 whole-matrix sense) and therefore nonsingular.
 
 The anchors themselves are judged in :mod:`ordering`, at every d.
-:func:`select_weights` tests only its inputs' projections and, of what
-it computes, the biases.
+:func:`select_weights` tests its inputs' projections (its inputs only
+when those are not finite) and, of what it computes, the biases.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericOverflowError, PreconditionError, ShapeError
-from .linalg import _as_2d
+from .linalg import _as_2d, _as_matrix
 
 __all__ = ["gaussian", "cutoff_radius", "SelectionParams", "select_weights",
            "row_dot"]
@@ -106,7 +106,9 @@ def select_weights(anchors, weights) -> SelectionParams:
     two adjacent projection gaps (a single node gets gain 1; with two
     nodes both use the only gap). Overflowing gains — from nearly
     duplicate projections — raise NumericOverflowError rather than
-    producing non-finite weights.
+    producing non-finite weights. When the projections are not finite,
+    both arguments are judged by ``linalg._as_matrix``; if they pass,
+    the projections overflowed (NumericOverflowError).
     """
     x = _as_2d(anchors, "anchors")
     w = np.asarray(weights, dtype=np.float64).ravel()
@@ -116,9 +118,12 @@ def select_weights(anchors, weights) -> SelectionParams:
                          f"dimension {d}")
     if n0 < 1:
         raise PreconditionError("need at least one anchor")
-    proj = x @ w
+    with np.errstate(over="ignore", invalid="ignore"):
+        proj = x @ w
     if not np.isfinite(proj).all():
-        raise NumericOverflowError("anchor projections are not finite")
+        _as_matrix(x, "anchors")
+        _as_matrix(w[None], "weights")
+        raise NumericOverflowError("anchor projections overflowed")
     gaps = proj[1:] - proj[:-1]
     if n0 >= 2 and not (gaps > 0.0).all():
         raise PreconditionError(

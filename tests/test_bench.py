@@ -332,6 +332,39 @@ def test_sinc_sweep_rejects_csv_settings(fields):
         run_node_sweep(config)
 
 
+@pytest.mark.parametrize("fields", [
+    {"csv_path": "nope.csv"}, {"split_fraction": 0.3},
+    {"csv_schema": CsvSchema(target="y")},
+    {"csv_path": "nope.csv", "split_fraction": 0.3},
+])
+def test_run_sinc_rejects_csv_settings(monkeypatch, fields):
+    fits = counting(monkeypatch, "train_elm")
+    config = ExperimentConfig(nodes=5, trials=1, n_train=10, n_test=5,
+                              **fields)
+    names = ", ".join(fields)
+    with pytest.raises(PreconditionError,
+                       match=f"^a sinc experiment does not use {names}$"):
+        run_sinc(config)
+    assert fits == []
+
+
+@pytest.mark.parametrize("fields", [
+    {"n_train": 999}, {"n_test": 9}, {"noise_sigma": 0.5},
+    {"test_distribution": "normal"}, {"n_train": 999, "noise_sigma": 0.5},
+])
+def test_run_dataset_rejects_sinc_settings(monkeypatch, tmp_path, fields):
+    loads = counting(monkeypatch, "load_csv")
+    config = ExperimentConfig(nodes=5, trials=1,
+                              csv_path=str(write_toy_csv(tmp_path / "t.csv")),
+                              csv_schema=CsvSchema("label", CLASSIFICATION),
+                              **fields)
+    names = ", ".join(fields)
+    with pytest.raises(PreconditionError,
+                       match=f"^a dataset experiment does not use {names}$"):
+        run_dataset(config)
+    assert loads == []
+
+
 def test_eelm_failures_are_counted_not_hidden(tmp_path):
     path = write_overflow_csv(tmp_path / "overflow.csv")
     config = ExperimentConfig(nodes=3, trials=2, seed=0, split_fraction=0.8,

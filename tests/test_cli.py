@@ -300,6 +300,35 @@ def test_exit_code_data_error(tmp_path):
     assert code == 3
 
 
+def test_train_on_a_header_that_repeats_a_name_exits_3(tmp_path, capsys):
+    path = tmp_path / "dup.csv"
+    path.write_text("y,x,y\n1,2,3\n4,5,6\n7,8,9\n")
+    model_path = tmp_path / "dup.slfn"
+    code = main(["train", "--csv", str(path), "--target", "y", "--nodes",
+                 "2", "--model-out", str(model_path)])
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        "data error: header column 'y' is given twice")
+    assert not model_path.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--nodes", "2", "--model-out", "twice.slfn"],
+    ["bench", "--nodes", "2"],
+])
+def test_a_target_named_twice_exits_2(tmp_path, monkeypatch, capsys,
+                                      command):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "t.csv"
+    path.write_text("x,y\n1,2\n4,5\n7,8\n")
+    code = main([*command, "--csv", str(path), "--target", "y",
+                 "--target", "y"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "configuration error: target 'y' is given twice\n")
+    assert not (tmp_path / "twice.slfn").exists()
+
+
 def test_exit_code_all_trials_numeric_failure(tmp_path):
     # the constructive algorithm overflows on every trial; running it
     # alone must exit 4

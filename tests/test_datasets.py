@@ -120,6 +120,25 @@ def test_load_csv_multi_target_regression(tmp_path):
     assert np.array_equal(data.targets, [[2, 3], [5, 6]])
 
 
+@pytest.mark.parametrize("header", ["y,x,y", "x,y,y", " y,x,y "])
+def test_load_csv_header_that_repeats_a_name_is_a_format_error(tmp_path,
+                                                               header):
+    # the second y would be read as an attribute
+    path = write(tmp_path, "dup.csv", f"{header}\n1,2,3\n4,5,6\n")
+    with pytest.raises(FormatError, match="^header column 'y' is given "
+                                          "twice: path="):
+        load_csv(path, CsvSchema(target="y"))
+
+
+@pytest.mark.parametrize("target", [("y", "y"), ("y", "z", "y")])
+def test_load_csv_target_named_twice_is_a_precondition_error(tmp_path,
+                                                             target):
+    path = write(tmp_path, "t.csv", "x,y,z\n1,2,3\n4,5,6\n")
+    with pytest.raises(PreconditionError,
+                       match="^target 'y' is given twice$"):
+        load_csv(path, CsvSchema(target=target))
+
+
 def test_one_hot_round_trip():
     labels = ["red", "blue", "red", "green", "blue"]
     rows, classes = _one_hot_encode(labels)
@@ -283,6 +302,21 @@ def test_dataset_validation():
 def test_dataset_needs_an_attribute_and_a_target_column(inputs, targets):
     with pytest.raises(ShapeError, match="at least one column"):
         Dataset("x", REGRESSION, inputs, targets)
+
+
+@pytest.mark.parametrize("flaw", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["inputs", "targets"])
+def test_dataset_names_its_non_finite_array(name, flaw):
+    arrays = {"inputs": np.ones((3, 2)), "targets": np.ones((3, 1))}
+    arrays[name][1, 0] = flaw
+    with pytest.raises(PreconditionError,
+                       match=f"^{name} contains non-finite entries$"):
+        Dataset("x", REGRESSION, **arrays)
+
+
+def test_dataset_without_rows_is_a_shape_error():
+    with pytest.raises(ShapeError, match="^inputs has no rows"):
+        Dataset("x", REGRESSION, np.ones((0, 2)), np.ones((0, 1)))
 
 
 def test_minmax_scale():

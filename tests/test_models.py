@@ -123,6 +123,29 @@ def test_hidden_matrix_overflow():
                             np.array([[1e10]]))
 
 
+@pytest.mark.parametrize("flaw", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["node_weights", "biases", "inputs"])
+def test_hidden_matrix_names_a_non_finite_argument(name, flaw):
+    # linalg._as_matrix judges the arguments once the pre-activations of
+    # a block are not finite: a flawed input only in the last of three
+    args = {"node_weights": np.ones((1000, 2)), "biases": np.zeros(1000),
+            "inputs": np.zeros((3 * _block_rows(1000), 2))}
+    args[name].flat[-1] = flaw
+    with pytest.raises(PreconditionError,
+                       match=f"^{name} contains non-finite entries$"):
+        build_hidden_matrix(**args)
+
+
+@pytest.mark.parametrize("flaw", [np.nan, np.inf, -np.inf])
+def test_predict_names_non_finite_inputs(flaw):
+    model = _random_model(np.random.default_rng(3), 5)
+    x = np.ones((3, 3))
+    x[2, 1] = flaw
+    with pytest.raises(PreconditionError,
+                       match="^inputs contains non-finite entries$"):
+        predict(model, x)
+
+
 def test_train_elm_single_sample_exact():
     data = Dataset("one", REGRESSION, np.array([[2.0]]), np.array([[3.0]]))
     model, report = train_elm(data, 1, seed=5)
@@ -546,6 +569,16 @@ def test_model_rejects_arrays_that_are_not_a_network(node_weights, biases,
                                                      output_weights):
     with pytest.raises(ShapeError):
         SlfnModel(node_weights, biases, output_weights, "elm", seed=0)
+
+
+@pytest.mark.parametrize("name", ["node_weights", "biases", "output_weights"])
+def test_model_names_its_non_finite_array(name):
+    arrays = {"node_weights": np.ones((3, 2)), "biases": np.ones(3),
+              "output_weights": np.ones((3, 1))}
+    arrays[name].flat[-1] = np.nan
+    with pytest.raises(PreconditionError,
+                       match=f"^{name} contains non-finite entries$"):
+        SlfnModel(**arrays, provenance="elm")
 
 
 def _three_class_classifier():

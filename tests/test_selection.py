@@ -178,6 +178,25 @@ def test_gain_overflow_surfaces():
         select_weights(anchors, np.ones(1))
 
 
+def test_projection_overflow_of_finite_arguments_is_a_numeric_failure():
+    # x @ w overflows with no warning escaping (the suite makes one an
+    # error)
+    with pytest.raises(NumericOverflowError, match="projections overflowed"):
+        select_weights([[1e300, 1.0], [2e300, 1.0]], [1e10, 1.0])
+
+
+@pytest.mark.parametrize("anchors, weights, name", [
+    ([[np.nan], [1.0]], [1.0], "anchors"),
+    ([[0.0], [np.inf]], [1.0], "anchors"),
+    ([[0.0], [1.0]], [np.inf], "weights"),
+    ([[0.0], [1.0]], [np.nan], "weights"),
+])
+def test_non_finite_argument_is_named(anchors, weights, name):
+    with pytest.raises(PreconditionError,
+                       match=f"^{name} contains non-finite entries$"):
+        select_weights(anchors, weights)
+
+
 def test_shape_validation():
     with pytest.raises(ShapeError):
         select_weights(np.ones((3, 2)), np.ones(3))
