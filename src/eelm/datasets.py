@@ -381,15 +381,17 @@ METRICS = {
 
 def minmax_scale(data: Dataset, low: float = -1.0, high: float = 1.0) -> Dataset:
     """Rescale each attribute to [low, high]; constant attributes go to
-    the midpoint. Targets are left untouched."""
+    the midpoint. Targets are left untouched. Differences are taken of
+    halves, so a finite range wider than float64 (-1e308 to 1e308) does
+    not overflow; halving a value above the subnormal range is exact, so
+    there the result is the direct formula's to the bit."""
     if not low < high:
         raise PreconditionError("need low < high")
     x = data.inputs
-    lo = x.min(axis=0)
-    hi = x.max(axis=0)
-    spread = hi - lo
+    half_lo = x.min(axis=0) / 2.0
+    half_spread = x.max(axis=0) / 2.0 - half_lo
     mid = np.full_like(x, (low + high) / 2.0)
-    scaled = np.where(spread > 0.0,
-                      low + (x - lo) * ((high - low) / np.where(spread > 0.0, spread, 1.0)),
+    scale = (high - low) / np.where(half_spread > 0.0, half_spread, 1.0)
+    scaled = np.where(half_spread > 0.0, low + (x / 2.0 - half_lo) * scale,
                       mid)
     return replace(data, name=data.name + "/scaled", inputs=scaled)

@@ -22,9 +22,19 @@ to the Moore-Penrose generalized inverse are provided:
   of every row-blocked loop over a hidden matrix), its rows are ordered
   by their first non-zero column, each block works only on the column
   range its rows touch, and an all-zero row costs nothing. A dense
-  matrix costs what it did as one Gram product and one product with
-  ``Aᵀ``. A NaN or Inf cell of ``A`` shows in the Gram diagonal, so
-  ``A`` is scanned for one only when that diagonal is not finite.
+  matrix pays for that: on a dense 10 000 × 1 000 ``A`` the row-blocked
+  Gram sum took 0.66 s, against 0.20 s for one ``a.T @ a`` (BLAS syrk;
+  one OpenBLAS thread). A NaN or Inf cell of ``A`` shows in the Gram
+  diagonal, so ``A`` is scanned for one only when that diagonal is not
+  finite.
+
+ELM's hidden matrix, when it has at least ``_LSTSQ_ROWS_PER_COL`` rows
+per column and more than one row block (usually dense and of full rank
+there), is first solved by :func:`_gram_lstsq`: ``(AᵀA)⁻¹AᵀB`` from one
+syrk product ``AᵀA``, the same Cholesky and ``L⁻¹``, under a stricter
+certificate than :func:`pinv_normal`'s (every pivot ratio above
+``sqrt(rows * eps)``, not ``rows * eps``). When it refuses, the SVD
+solve (``gelsd``) runs as it would have.
 
 Keeping both paths separate matters: the training code uses the normal-
 equation route precisely because the constructive weight selection
@@ -34,6 +44,7 @@ rank problem would hide a violation of that guarantee.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,6 +178,39 @@ def _tri_inv(low: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _gram_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """``x = (AᵀA)⁻¹Aᵀb`` for a finite tall ``a`` and 2-D ``b``, or None
+    when the Gram system is not certified: ELM's own solve when rows
+    outnumber nodes (Huang, Zhou, Ding & Zhang, *IEEE TSMC-B* 42(2),
+    2012), without the ridge term.
+
+    ``G = AᵀA`` is one product (numpy hands ``a.T @ a`` to BLAS syrk),
+    :func:`_cholesky` factors it as ``LLᵀ``, and :func:`_tri_inv`'s
+    ``L⁻¹`` is applied twice to ``Aᵀb``. The bar is stricter than
+    :func:`pinv_normal`'s: every pivot ratio ``L_jj² / G_jj`` must exceed
+    ``sqrt(rows * eps)``. The normal equations move the fitted values
+    ``Ax`` by about ``rows * eps`` over the smallest ratio, so this bar
+    keeps that under ``sqrt(rows * eps)`` (1.5e-6 at 10⁴ rows), where
+    ``rows * eps`` would admit an ``A`` whose fit has no correct digit.
+    A non-finite ``x`` (``Aᵀb`` overflowed) is None too: the SVD solve
+    that a caller falls back to scales ``b`` first.
+    """
+    bound = math.sqrt(a.shape[0] * np.finfo(np.float64).eps)
+    # an overflowing G or Aᵀb is judged below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = a.T @ a
+        low = _cholesky(gram, bound)
+        # free each square temporary once used
+        del gram
+        if low is None:
+            return None
+        low_inv = _tri_inv(low)
+        del low
+        y = low_inv @ (a.T @ b)
+        x = low_inv.T @ y
+    return x if np.isfinite(x).all() else None
+
+
 def _row_slices(n: int, k: int) -> list:
     """Slices cutting ``n`` rows of ``k`` columns into blocks of a
     multiple of 64 rows, at least 64, and ``BLOCK_CELLS`` cells when
@@ -214,8 +258,11 @@ def pinv_normal(a) -> np.ndarray:
     and in the rows of ``G⁻¹`` it multiplies, so the cost follows the
     non-zero part of ``A``. The result column of an all-zero row is
     exactly 0. A dense matrix is one block per :func:`_row_slices`
-    slice, each spanning every column: the same products as one Gram
-    matrix and one multiplication by ``Aᵀ``.
+    slice, each spanning every column: the same arithmetic as one Gram
+    matrix and one multiplication by ``Aᵀ``, but not as fast. On a dense
+    10 000 × 1 000 ``A`` the row-blocked Gram sum took 0.66 s, against
+    0.20 s for one ``a.T @ a``, which numpy hands to BLAS syrk (one
+    OpenBLAS thread); :func:`_gram_lstsq` takes that one product.
 
     The factor certifies full rank when every pivot ratio ``L_jj² / G_jj``
     (the share of column ``j``'s squared norm left after projecting out

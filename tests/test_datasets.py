@@ -328,3 +328,22 @@ def test_minmax_scale():
     # constant attribute lands on the midpoint
     assert np.array_equal(scaled.inputs[:, 1], [0.0, 0.0, 0.0])
     assert np.array_equal(scaled.targets, data.targets)
+
+
+def test_minmax_scale_of_a_range_wider_than_float64():
+    # hi - lo of -1e308 and 1e308 overflows; their halves do not. The
+    # scale factor, 2 / 1e308, is subnormal, so the result is right to
+    # within a few rounding errors rather than to the last bit
+    data = Dataset("x", REGRESSION, np.array([[-1e308], [1e308], [0.0]]),
+                   np.zeros((3, 1)))
+    scaled = minmax_scale(data).inputs[:, 0]
+    assert np.abs(scaled - [-1.0, 1.0, 0.0]).max() <= 4 * np.finfo(float).eps
+
+
+def test_minmax_scale_by_halves_is_the_direct_formula_bit_for_bit():
+    rng = np.random.default_rng(0)
+    x = rng.uniform(-1.0, 1.0, (1000, 8)) * 10.0 ** rng.integers(-30, 31, 8)
+    data = Dataset("x", REGRESSION, x, np.zeros((1000, 1)))
+    lo, hi = x.min(axis=0), x.max(axis=0)
+    direct = -1.0 + (x - lo) * (2.0 / (hi - lo))
+    assert np.array_equal(minmax_scale(data).inputs, direct)

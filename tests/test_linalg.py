@@ -5,9 +5,9 @@ import pytest
 
 from eelm.datasets import gen_sinc
 from eelm.errors import PreconditionError, RankDeficientError, ShapeError
-from eelm.linalg import (BLOCK_CELLS, _row_blocks, _row_slices, _svd_lstsq,
-                         _tri_inv, numerical_rank, pinv_normal, pinv_svd,
-                         strict_dominance_report)
+from eelm.linalg import (BLOCK_CELLS, _gram_lstsq, _row_blocks, _row_slices,
+                         _svd_lstsq, _tri_inv, numerical_rank, pinv_normal,
+                         pinv_svd, strict_dominance_report)
 from eelm.models import build_hidden_matrix, select_hidden_layer, train_elm
 
 EPS = np.finfo(np.float64).eps
@@ -353,6 +353,64 @@ def test_svd_lstsq_decomposes_only_a_square_block(monkeypatch):
     assert calls == [("lstsq", (300, 40), 300 * EPS),
                      ("lstsq", (300, 20), 300 * EPS),
                      ("svd", (50, 50), None)]
+
+
+def elm_gram_case(seed, flaw=None):
+    """ELM's H on 2 000 x 8 uniform[-1, 1] inputs with 100 nodes, as
+    train_elm draws it under ``seed`` (three row blocks, smallest pivot
+    ratio 7.7e-3 to 3.1e-2 at seeds 0-2), with a target; ``flaw`` makes
+    its last column a copy of the first, all zero, or the first plus
+    3e-5 of uniform noise (a pivot ratio near 1e-9)."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, (2000, 8))
+    draw = np.random.default_rng(seed)
+    h = build_hidden_matrix(draw.uniform(-1.0, 1.0, (100, 8)),
+                            draw.uniform(-1.0, 1.0, 100), x)
+    if flaw == "duplicate":
+        h[:, -1] = h[:, 0]
+    elif flaw == "zero":
+        h[:, -1] = 0.0
+    elif flaw == "near-duplicate":
+        h[:, -1] = h[:, 0] + 3e-5 * rng.uniform(-1.0, 1.0, 2000)
+    return h, np.sin(x.sum(axis=1, keepdims=True))
+
+
+def smallest_pivot_ratio(h):
+    gram = h.T @ h
+    return (np.diag(np.linalg.cholesky(gram)) ** 2 / np.diag(gram)).min()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gram_lstsq_agrees_with_the_svd_solve(seed):
+    h, y = elm_gram_case(seed)
+    assert len(_row_slices(*h.shape)) == 3
+    assert smallest_pivot_ratio(h) > np.sqrt(2000 * EPS)
+    beta = _gram_lstsq(h, y)
+    ref, rank = _svd_lstsq(h, y)
+    assert rank == 100
+    assert np.abs(beta - ref).max() <= 1e-10 * np.abs(ref).max()
+    assert np.array_equal(_gram_lstsq(h, y), beta)
+
+
+@pytest.mark.parametrize("flaw", ["duplicate", "zero"])
+def test_gram_lstsq_refuses_a_rank_deficient_matrix(flaw):
+    assert _gram_lstsq(*elm_gram_case(0, flaw)) is None
+
+
+def test_gram_lstsq_bar_is_stricter_than_pinv_normal():
+    # a pivot ratio between rows * eps, which pinv_normal accepts, and
+    # sqrt(rows * eps), below which the fitted values of the normal
+    # equations could lose more than half of float64's digits
+    h, y = elm_gram_case(0, "near-duplicate")
+    assert 2000 * EPS < smallest_pivot_ratio(h) < np.sqrt(2000 * EPS)
+    assert np.isfinite(pinv_normal(h)).all()
+    assert _gram_lstsq(h, y) is None
+
+
+def test_gram_lstsq_refuses_an_overflowing_right_hand_side():
+    # H^T y overflows without a warning; the SVD solve scales y first
+    h, _ = elm_gram_case(0)
+    assert _gram_lstsq(h, np.full((2000, 1), 1e308)) is None
 
 
 def test_numerical_rank():

@@ -430,6 +430,84 @@ def test_svd_fit_that_does_not_converge_is_a_numerical_failure(monkeypatch):
                 train_eelm(data, nodes, force_svd=True)
 
 
+def spy_on(monkeypatch, *names):
+    """Record the shape of the first argument of each named
+    np.linalg call."""
+    calls = []
+    for name in names:
+        def wrapper(a, *args, real=getattr(np.linalg, name), name=name,
+                    **kwargs):
+            calls.append((name, np.shape(a)))
+            return real(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, wrapper)
+    return calls
+
+
+def uniform_data(seed, n):
+    # ELM's H on these inputs with 100 nodes (2 000 rows) spans three
+    # row blocks, with smallest pivot ratio 7.7e-3 to 3.1e-2 at seeds 0-2
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, (n, 8))
+    return Dataset("uniform", REGRESSION, x,
+                   np.sin(x.sum(axis=1, keepdims=True)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_elm_solves_a_tall_multi_block_h_on_the_gram_system(monkeypatch,
+                                                             seed):
+    data = uniform_data(seed, 2000)
+    calls = spy_on(monkeypatch, "lstsq")
+    model, report = train_elm(data, 100, seed=seed)
+    assert calls == []
+    assert report.pinv_path == "orthogonal-projection"
+    assert report.hidden_matrix_rank_ok
+    h = build_hidden_matrix(model.node_weights, model.biases, data.inputs)
+    ref, _ = linalg._svd_lstsq(h, data.targets)
+    beta = model.output_weights
+    assert np.abs(beta - ref).max() <= 1e-10 * np.abs(ref).max()
+    assert np.array_equal(train_elm(data, 100, seed=seed)[0].output_weights,
+                          beta)
+
+
+@pytest.mark.parametrize("flaw", ["duplicate", "zero", "near-duplicate"])
+def test_elm_falls_back_to_one_lstsq_when_the_gram_system_is_refused(
+        monkeypatch, flaw):
+    # a dependent or all-zero column is refused, and so is one whose
+    # pivot ratio (near 1e-9) passes pinv_normal's rows * eps but not
+    # the Gram route's sqrt(rows * eps)
+    def flawed(*args):
+        h = build_hidden_matrix(*args)
+        if flaw == "zero":
+            h[:, -1] = 0.0
+        else:
+            noise = 3e-5 * np.random.default_rng(7).uniform(-1.0, 1.0,
+                                                             h.shape[0])
+            h[:, -1] = h[:, 0] + (noise if flaw == "near-duplicate" else 0.0)
+        return h
+    monkeypatch.setattr(models, "build_hidden_matrix", flawed)
+    data = uniform_data(0, 2000)
+    calls = spy_on(monkeypatch, "lstsq")
+    model, report = train_elm(data, 100, seed=0)
+    assert calls == [("lstsq", (2000, 100))]
+    assert report.pinv_path == "svd"
+    h = flawed(model.node_weights, model.biases, data.inputs)
+    beta, rank = linalg._svd_lstsq(h, data.targets)
+    assert np.array_equal(model.output_weights, beta)
+    assert report.hidden_matrix_rank_ok == (rank == 100)
+    assert report.hidden_matrix_rank_ok == (flaw == "near-duplicate")
+
+
+def test_single_block_and_eelm_svd_fits_keep_their_routes(monkeypatch):
+    # ELM on tabular's 576 x 20 shape (one row block) and EELM's
+    # force_svd on a multi-block H form no Gram matrix
+    calls = spy_on(monkeypatch, "lstsq", "cholesky")
+    _, report = train_elm(uniform_data(0, 576), 20, seed=0)
+    assert report.pinv_path == "svd"
+    _, report = train_eelm(uniform_data(0, 2000), 100, seed=0,
+                           force_svd=True)
+    assert report.pinv_path == "svd"
+    assert calls == [("lstsq", (576, 20)), ("lstsq", (2000, 100))]
+
+
 def test_pinv_normal_at_blocked_lapack_sizes():
     # 300 columns is past the sizes where OpenBLAS switches to its
     # blocked factorization and solve kernels
