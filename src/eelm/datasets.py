@@ -382,16 +382,19 @@ METRICS = {
 def minmax_scale(data: Dataset, low: float = -1.0, high: float = 1.0) -> Dataset:
     """Rescale each attribute to [low, high]; constant attributes go to
     the midpoint. Targets are left untouched. Differences are taken of
-    halves, so a finite range wider than float64 (-1e308 to 1e308) does
-    not overflow; halving a value above the subnormal range is exact, so
-    there the result is the direct formula's to the bit."""
+    halves and the result doubled back, so a finite range wider than
+    float64 (-1e308 to 1e308) does not overflow and no spread overflows
+    the scale that the direct formula does not. Halving and doubling
+    are exact unless a value is subnormal, so the result is the direct
+    formula's to the bit wherever that formula is finite and no half or
+    scaled half is subnormal."""
     if not low < high:
         raise PreconditionError("need low < high")
     x = data.inputs
     half_lo = x.min(axis=0) / 2.0
     half_spread = x.max(axis=0) / 2.0 - half_lo
     mid = np.full_like(x, (low + high) / 2.0)
-    scale = (high - low) / np.where(half_spread > 0.0, half_spread, 1.0)
-    scaled = np.where(half_spread > 0.0, low + (x / 2.0 - half_lo) * scale,
-                      mid)
+    scale = ((high - low) / 2.0) / np.where(half_spread > 0.0, half_spread, 1.0)
+    scaled = np.where(half_spread > 0.0,
+                      low + ((x / 2.0 - half_lo) * scale) * 2.0, mid)
     return replace(data, name=data.name + "/scaled", inputs=scaled)

@@ -29,12 +29,13 @@ to the Moore-Penrose generalized inverse are provided:
   finite.
 
 ELM's hidden matrix, when it has at least ``_LSTSQ_ROWS_PER_COL`` rows
-per column and more than one row block (usually dense and of full rank
-there), is first solved by :func:`_gram_lstsq`: ``(AᵀA)⁻¹AᵀB`` from one
-syrk product ``AᵀA``, the same Cholesky and ``L⁻¹``, under a stricter
-certificate than :func:`pinv_normal`'s (every pivot ratio above
-``sqrt(rows * eps)``, not ``rows * eps``). When it refuses, the SVD
-solve (``gelsd``) runs as it would have.
+per column and more than one row block, is first solved by
+:func:`_gram_lstsq`: ``(AᵀA)⁻¹AᵀB`` from one syrk product ``AᵀA``, the
+same Cholesky and ``L⁻¹``, under a stricter certificate than
+:func:`pinv_normal`'s (every pivot ratio above ``sqrt(rows * eps)``, not
+``rows * eps``). A column of squared norm 0 is refused before ``AᵀA`` is
+formed. When it refuses, the SVD solve (``gelsd``) runs as it would
+have.
 
 Keeping both paths separate matters: the training code uses the normal-
 equation route precisely because the constructive weight selection
@@ -61,7 +62,8 @@ __all__ = [
 
 # Cells of H in one row block of the Gram pass, the fit's H and predict
 # (see _row_slices): 64 rows x 1000 nodes are 512 kB, inside a 2 MB L2
-# cache. On a 10 000 x 1 000 EELM H, pinv_normal timed alike from 2**14
+# cache. It also sets where ELM's route begins: _gram_lstsq takes only
+# an H of more than one block. On a 10 000 x 1 000 EELM H, pinv_normal timed alike from 2**14
 # to 2**19 cells; predict was fastest from 2**15 to 2**17.
 BLOCK_CELLS = 1 << 16
 
@@ -179,23 +181,42 @@ def _tri_inv(low: np.ndarray) -> np.ndarray:
 
 
 def _gram_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """``x = (AᵀA)⁻¹Aᵀb`` for a finite tall ``a`` and 2-D ``b``, or None
-    when the Gram system is not certified: ELM's own solve when rows
-    outnumber nodes (Huang, Zhou, Ding & Zhang, *IEEE TSMC-B* 42(2),
-    2012), without the ridge term.
+    """``x = (AᵀA)⁻¹Aᵀb`` for a finite ``a`` and 2-D ``b``, or None when
+    ``a`` is not on this route or its Gram system is not certified:
+    ELM's own solve when rows outnumber nodes (Huang, Zhou, Ding &
+    Zhang, *IEEE TSMC-B* 42(2), 2012), without the ridge term.
+
+    The route takes an ``a`` with at least ``_LSTSQ_ROWS_PER_COL`` rows
+    per column and more than one :func:`_row_slices` block, a rule of
+    its shape alone. A single block is left out: on the tabular
+    benchmark's 576 × 20 hidden matrix the product ``AᵀA`` alone adds
+    7-11 % to the fit, and that matrix is always refused. A column whose
+    squared norm is 0 (a node that never fires on unscaled data, or
+    whose outputs square to underflow) makes the factor refuse, so it is
+    refused first, by one pass over ``a``: on a refused 8 000 × 20
+    matrix of unscaled tabular data ``AᵀA`` cost 7 % of the fit.
 
     ``G = AᵀA`` is one product (numpy hands ``a.T @ a`` to BLAS syrk),
     :func:`_cholesky` factors it as ``LLᵀ``, and :func:`_tri_inv`'s
     ``L⁻¹`` is applied twice to ``Aᵀb``. The bar is stricter than
     :func:`pinv_normal`'s: every pivot ratio ``L_jj² / G_jj`` must exceed
     ``sqrt(rows * eps)``. The normal equations move the fitted values
-    ``Ax`` by about ``rows * eps`` over the smallest ratio, so this bar
-    keeps that under ``sqrt(rows * eps)`` (1.5e-6 at 10⁴ rows), where
-    ``rows * eps`` would admit an ``A`` whose fit has no correct digit.
-    A non-finite ``x`` (``Aᵀb`` overflowed) is None too: the SVD solve
-    that a caller falls back to scales ``b`` first.
+    ``Ax`` by about ``rows * eps / ratio`` when the smallest pivot ratio
+    tracks ``1 / κ(A)²`` of the column-scaled ``A``, as it does on
+    random ELM hidden matrices; the bar then holds that error near
+    ``sqrt(rows * eps)`` (1.5e-6 at 10⁴ rows), where ``rows * eps``
+    would admit an ``A`` whose fit has no correct digit. Without
+    pivoting a ratio is only at least ``1 / κ²``, so this is an
+    estimate, not a bound: a Kahan-like ``A`` can pass with a larger
+    error. A non-finite ``x`` (``Aᵀb`` overflowed) is None too: the SVD
+    solve that a caller falls back to scales ``b`` first.
     """
-    bound = math.sqrt(a.shape[0] * np.finfo(np.float64).eps)
+    n, k = a.shape
+    if n < _LSTSQ_ROWS_PER_COL * k or len(_row_slices(n, k)) == 1:
+        return None
+    if not np.einsum("ij,ij->j", a, a).all():
+        return None
+    bound = math.sqrt(n * np.finfo(np.float64).eps)
     # an overflowing G or Aᵀb is judged below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         gram = a.T @ a

@@ -152,27 +152,21 @@ def _fit_output_weights(data: Dataset, node_weights, biases, provenance: str,
     """Phase two, the same for both algorithms: H over the training
     inputs, the output weights by an SVD least-squares solve against the
     targets (``svd``) or by the Gram system, then the model and its
-    report. ``t0`` is when training started.
-
-    ELM's H is first tried on the Gram system (``linalg._gram_lstsq``)
-    when it is tall and spans more than one ``linalg._row_slices`` block,
-    a rule of H's shape alone. A single-block H is left out: on the
-    tabular benchmark's 576 × 20 H the product ``HᵀH`` alone adds 7-11 %
-    to the fit, and that H is always refused (it has nodes that never
-    fire). When the certificate refuses, the SVD solve runs."""
+    report. ``t0`` is when training started. ELM's H is first tried on
+    the Gram system (``linalg._gram_lstsq``, which decides from H alone
+    whether it is on that route); when that returns None, the SVD solve
+    runs."""
     h = build_hidden_matrix(node_weights, biases, data.inputs)
-    n, k = h.shape
     beta = None
     if not svd:
         beta = linalg.pinv_normal(h) @ data.targets
-    elif (provenance == "elm" and n >= linalg._LSTSQ_ROWS_PER_COL * k
-          and len(linalg._row_slices(n, k)) > 1):
+    elif provenance == "elm":
         beta = linalg._gram_lstsq(h, data.targets)
     # a Cholesky factor certified full rank, or the SVD solve counts it
     rank_ok, path = True, "orthogonal-projection"
     if beta is None:
         beta, rank = linalg._svd_lstsq(h, data.targets)
-        rank_ok, path = rank == k, "svd"
+        rank_ok, path = rank == h.shape[1], "svd"
     if not np.isfinite(beta).all():
         raise NumericOverflowError("output weights overflowed")
     train_seconds = time.perf_counter() - t0
@@ -197,13 +191,17 @@ def train_elm(data: Dataset, n_hidden: int, seed: int = 0):
     ``(HᵀH)⁻¹HᵀT`` (Huang et al., 2012, without the ridge term): one
     syrk product, a Cholesky factor whose pivot ratios must all exceed
     ``sqrt(samples * eps)``, and two products with its inverse. The
-    normal equations move the fitted values by about ``samples * eps``
-    over the smallest ratio, so that bar keeps them within
-    ``sqrt(samples * eps)``. The report then says
-    ``pinv_path="orthogonal-projection"``. On a 10 000 × 8 fit with
-    1 000 nodes this took the fit from about 1.1 s to 0.3 s.
+    normal equations move the fitted values by about
+    ``samples * eps / ratio`` when the smallest pivot ratio tracks
+    ``1 / κ²`` of the column-scaled H, as on random hidden layers, so
+    that bar holds them near ``sqrt(samples * eps)``: an estimate, not a
+    bound (see ``linalg._gram_lstsq``). The report then says
+    ``pinv_path="orthogonal-projection"`` and ``hidden_matrix_rank_ok``
+    on the factor's word. On a 10 000 × 8 fit with 1 000 nodes this took
+    the fit from about 1.1 s to 0.3 s.
 
-    When the factor refuses, and for a single-block H, the solve is one
+    When the factor refuses (an H with a node that never fires is refused
+    before ``HᵀH`` is formed), and for a single-block H, the solve is one
     ``np.linalg.lstsq`` (LAPACK ``gelsd``) call, which reduces H by QR
     and keeps the singular values of its ``n_hidden`` × ``n_hidden`` R
     above the cutoff: beyond one copy of H, no samples × nodes array is

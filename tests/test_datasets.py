@@ -332,12 +332,20 @@ def test_minmax_scale():
 
 def test_minmax_scale_of_a_range_wider_than_float64():
     # hi - lo of -1e308 and 1e308 overflows; their halves do not. The
-    # scale factor, 2 / 1e308, is subnormal, so the result is right to
+    # scale factor, 1 / 1e308, is subnormal, so the result is right to
     # within a few rounding errors rather than to the last bit
     data = Dataset("x", REGRESSION, np.array([[-1e308], [1e308], [0.0]]),
                    np.zeros((3, 1)))
     scaled = minmax_scale(data).inputs[:, 0]
     assert np.abs(scaled - [-1.0, 1.0, 0.0]).max() <= 4 * np.finfo(float).eps
+
+
+def test_minmax_scale_of_a_subnormal_range_does_not_overflow():
+    # 2 / 1.5e-308 is finite, and so is 1 over its half: the halved
+    # scale overflows for no spread the direct formula's does not
+    data = Dataset("x", REGRESSION, np.array([[0.0], [1.5e-308]]),
+                   np.zeros((2, 1)))
+    assert np.array_equal(minmax_scale(data).inputs[:, 0], [-1.0, 1.0])
 
 
 def test_minmax_scale_by_halves_is_the_direct_formula_bit_for_bit():

@@ -359,8 +359,9 @@ def elm_gram_case(seed, flaw=None):
     """ELM's H on 2 000 x 8 uniform[-1, 1] inputs with 100 nodes, as
     train_elm draws it under ``seed`` (three row blocks, smallest pivot
     ratio 7.7e-3 to 3.1e-2 at seeds 0-2), with a target; ``flaw`` makes
-    its last column a copy of the first, all zero, or the first plus
-    3e-5 of uniform noise (a pivot ratio near 1e-9)."""
+    its last column a copy of the first, all zero, 1e-170 times the
+    first (its squares underflow to 0), or the first plus 3e-5 of
+    uniform noise (a pivot ratio near 1e-9)."""
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1.0, 1.0, (2000, 8))
     draw = np.random.default_rng(seed)
@@ -370,6 +371,8 @@ def elm_gram_case(seed, flaw=None):
         h[:, -1] = h[:, 0]
     elif flaw == "zero":
         h[:, -1] = 0.0
+    elif flaw == "tiny":
+        h[:, -1] = 1e-170 * h[:, 0]
     elif flaw == "near-duplicate":
         h[:, -1] = h[:, 0] + 3e-5 * rng.uniform(-1.0, 1.0, 2000)
     return h, np.sin(x.sum(axis=1, keepdims=True))
@@ -395,6 +398,41 @@ def test_gram_lstsq_agrees_with_the_svd_solve(seed):
 @pytest.mark.parametrize("flaw", ["duplicate", "zero"])
 def test_gram_lstsq_refuses_a_rank_deficient_matrix(flaw):
     assert _gram_lstsq(*elm_gram_case(0, flaw)) is None
+
+
+def spy_on_cholesky(monkeypatch):
+    calls = []
+    real = np.linalg.cholesky
+
+    def spy(g):
+        calls.append(g.shape)
+        return real(g)
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    return calls
+
+
+@pytest.mark.parametrize("flaw", ["zero", "tiny"])
+def test_gram_lstsq_refuses_a_dead_column_before_factoring(monkeypatch,
+                                                           flaw):
+    # a column of squared norm 0 makes LAPACK's Cholesky refuse G; one
+    # pass over H refuses it before G is formed
+    h, y = elm_gram_case(0, flaw)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(h.T @ h)
+    calls = spy_on_cholesky(monkeypatch)
+    assert _gram_lstsq(h, y) is None
+    assert calls == []
+
+
+@pytest.mark.parametrize("shape", [(576, 20), (600, 500)])
+def test_gram_lstsq_takes_only_a_tall_multi_block_matrix(monkeypatch, shape):
+    # tabular's 576 x 20 H is one row block; 600 x 500 spans four blocks
+    # with fewer than two rows per column: neither is factored
+    a = np.random.default_rng(0).uniform(0.5, 1.0, shape)
+    calls = spy_on_cholesky(monkeypatch)
+    assert _gram_lstsq(a, np.ones((shape[0], 1))) is None
+    assert calls == []
+    assert len(_row_slices(*shape)) == (1 if shape[1] == 20 else 4)
 
 
 def test_gram_lstsq_bar_is_stricter_than_pinv_normal():
