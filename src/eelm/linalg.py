@@ -10,25 +10,30 @@ to the Moore-Penrose generalized inverse are provided:
   ``A⁺``: a tall ``A`` goes to LAPACK's least-squares driver ``gelsd``
   in one call, which reduces it by QR itself and builds no rows×cols or
   cols×cols factor; a square or near-square ``A`` to one SVD.
-* :func:`pinv_normal` — the orthogonal-projection form ``(AᵀA)⁻¹Aᵀ``:
-  LAPACK factors the Gram matrix as ``LLᵀ``, ``L⁻¹`` is inverted by
-  2×2 blocks, and each row block of ``A`` is multiplied by the rows of
-  ``(L⁻ᵀL⁻¹)`` it touches. It requires full column rank and fails loudly
-  (never regularizes) when that is violated. LAPACK's Cholesky is the
-  only factorization: the rank certificate is read off its factor, and
-  a refused Gram matrix is located by the same call on leading blocks.
-  Its cost follows the non-zero part of ``A``: when :func:`_row_slices`
-  cuts ``A`` into row blocks (of ``BLOCK_CELLS`` cells, the one budget
-  of every row-blocked loop over a hidden matrix), its rows are ordered
-  by their first non-zero column, each block works only on the column
-  range its rows touch, and an all-zero row costs nothing. A dense
-  matrix pays for that: on a dense 10 000 × 1 000 ``A`` the row-blocked
-  Gram sum took 0.66 s, against 0.20 s for one ``a.T @ a`` (BLAS syrk;
-  one OpenBLAS thread). A NaN or Inf cell of ``A`` shows in the Gram
-  diagonal, so ``A`` is scanned for one only when that diagonal is not
-  finite.
+* :func:`pinv_normal` — the orthogonal-projection form ``(AᵀA)⁻¹Aᵀ``.
+  It requires full column rank and fails loudly (never regularizes)
+  when that is violated. Its cost follows the non-zero part of ``A``:
+  when :func:`_row_slices` cuts ``A`` into row blocks (of
+  ``BLOCK_CELLS`` cells, the one budget of every row-blocked loop over a
+  hidden matrix), its rows are ordered by their first non-zero column,
+  each block works only on the column range its rows touch, and an
+  all-zero row costs nothing. The widest of those ranges bounds the
+  Gram matrix's bandwidth, so ``G`` is block-tridiagonal in blocks of
+  that width rounded up to 64 columns: each diagonal block's Schur
+  complement is factored by LAPACK as ``L_j L_jᵀ`` and ``L_j`` inverted
+  by 2×2 blocks, and ``G⁻¹`` comes from block forward and back
+  substitution against ``I``, in O(width · cols²) instead of O(cols³).
+  A ``G`` of one block (``A`` of one row block, or a range as wide as
+  ``A``) is factored whole, and ``G⁻¹ = L⁻ᵀL⁻¹``. LAPACK's Cholesky is
+  the only factorization: the rank certificate is read off its factors,
+  and a refused block is located by the same call on leading blocks of
+  its Schur complement. A dense matrix pays for the row blocks: on a
+  dense 10 000 × 1 000 ``A`` the row-blocked Gram sum took 0.66 s,
+  against 0.20 s for one ``a.T @ a`` (BLAS syrk; one OpenBLAS thread).
+  A NaN or Inf cell of ``A`` shows in the Gram diagonal, so ``A`` is
+  scanned for one only when that diagonal is not finite.
 
-ELM's hidden matrix, when it has at least ``_LSTSQ_ROWS_PER_COL`` rows
+ELM's hidden matrix, when it has at least ``_GRAM_ROWS_PER_COL`` rows
 per column and more than one row block, is first solved by
 :func:`_gram_lstsq`: ``(AᵀA)⁻¹AᵀB`` from one syrk product ``AᵀA``, the
 same Cholesky and ``L⁻¹``, under a stricter certificate than
@@ -76,6 +81,15 @@ BLOCK_CELLS = 1 << 16
 # took 402 minor page faults instead of 47 (perfbench sinc-protocol
 # eelm_fit_s +26 %, over its bound).
 _LSTSQ_ROWS_PER_COL = 2
+
+# Rows per column from which _gram_lstsq tries ELM's Gram system, a rule
+# apart from gelsd's shape cut above. The Gram system squares the
+# condition number of H, which grows as its rows near its columns (for
+# i.i.d. zero-mean entries the smallest singular value shrinks like
+# √rows − √cols), so the route is kept to tall H. It shares the value of
+# _LSTSQ_ROWS_PER_COL, so an H that the route refuses goes on to gelsd,
+# never to gesdd; it was not tuned on its own.
+_GRAM_ROWS_PER_COL = 2
 
 # Order up to which _tri_inv hands a diagonal block to LAPACK's solve;
 # above it, block products do most of the work.
@@ -151,17 +165,95 @@ def numerical_rank(a) -> int:
     return int(np.linalg.matrix_rank(_as_matrix(a, "numerical_rank input")))
 
 
-def _cholesky(g: np.ndarray, bound: float) -> np.ndarray | None:
+def _cholesky(g: np.ndarray, bound: float,
+              diag: np.ndarray | None = None) -> np.ndarray | None:
     """LAPACK's lower Cholesky factor ``L`` of ``g`` if it certifies full
     rank: None when LAPACK refuses ``g``, lets an infinite or NaN pivot
-    through, or leaves a pivot ratio ``L_jj² / g_jj`` at most ``bound``."""
+    through, or leaves a pivot ratio ``L_jj² / diag_j`` at most ``bound``.
+    ``diag`` is ``g``'s own diagonal unless given: a Schur complement is
+    judged against the diagonal of the matrix it was taken from."""
     try:
         low = np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
         return None
+    if diag is None:
+        diag = np.diag(g)
     certified = (np.isfinite(low).all()
-                 and (np.diag(low) ** 2 / np.diag(g)).min() > bound)
+                 and (np.diag(low) ** 2 / diag).min() > bound)
     return low if certified else None
+
+
+def _refusal(schur: np.ndarray, diag: np.ndarray, bound: float,
+             lo: int) -> RankDeficientError:
+    """RankDeficientError for a Gram matrix ``G`` whose first ``lo``
+    pivots are certified and whose Schur complement ``schur`` on the
+    next columns is refused (``schur`` is ``G`` itself when ``lo`` is
+    0). It names pivot ``j``: ``j + 1`` is the order of the smallest
+    leading block of ``G`` that fails the same test, found by bisection
+    over the leading blocks of ``schur``, their ratios taken against
+    ``G``'s diagonal from ``lo`` on, ``diag``."""
+    # the leading block of order `passes` is certified, that of order
+    # `fails` is not (failure is monotone in exact arithmetic)
+    passes, fails = 0, len(schur)
+    while fails - passes > 1:
+        mid = (passes + fails) // 2
+        if _cholesky(schur[:mid, :mid], bound, diag[:mid]) is None:
+            fails = mid
+        else:
+            passes = mid
+    pivot = lo + fails - 1
+    return RankDeficientError(
+        f"Gram matrix is not numerically positive definite at pivot "
+        f"{pivot}: LAPACK refuses it or leaves at most rows * eps "
+        f"of its diagonal", pivot=pivot)
+
+
+def _band_factor(gram: np.ndarray, edges: list, bound: float) -> list:
+    """The block Cholesky factor of a block-tridiagonal ``gram`` whose
+    diagonal blocks lie between consecutive ``edges``, certified as
+    :func:`_cholesky` certifies a whole one, or its RankDeficientError.
+
+    ``G = LLᵀ`` with ``L`` block lower bidiagonal: diagonal blocks
+    ``L_j``, the factors of the Schur complements
+    ``S_j = G_jj - M_j M_jᵀ``, and below them ``M_j = G_j,j-1 L_j-1⁻ᵀ``
+    (Golub & Van Loan, *Matrix Computations*, §4.3). Returned per block
+    as ``(L_j⁻¹, M_j)``, ``M_0`` None. Each ``L_j`` is the dense
+    factor's own diagonal block (up to rounding), so its pivot ratios
+    are taken against ``G``'s diagonal, and a refused ``S_j`` is
+    searched for its pivot alone.
+    """
+    diag = np.diagonal(gram)
+    factors = []
+    for j, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        schur, sub = gram[lo:hi, lo:hi], None
+        if j:
+            # an overflow shows in the factor, which is judged below
+            with np.errstate(over="ignore", invalid="ignore"):
+                sub = gram[lo:hi, edges[j - 1]:lo] @ factors[-1][0].T
+                schur = schur - sub @ sub.T
+        low = _cholesky(schur, bound, diag[lo:hi])
+        if low is None:
+            raise _refusal(schur, diag[lo:hi], bound, lo)
+        factors.append((_tri_inv(low), sub))
+    return factors
+
+
+def _band_solve(edges: list, factors: list, rhs: np.ndarray) -> np.ndarray:
+    """``G⁻¹ rhs``, written over ``rhs``, from :func:`_band_factor`'s
+    ``factors`` of ``G = LLᵀ``: block forward substitution
+    ``z_j = L_j⁻¹ (rhs_j - M_j z_j-1)``, then back substitution
+    ``x_j = L_j⁻ᵀ (z_j - M_j+1ᵀ x_j+1)``, each on ``rhs``'s rows
+    between consecutive ``edges``."""
+    rows = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    for j, (inv, sub) in enumerate(factors):
+        if j:
+            rhs[rows[j]] -= sub @ rhs[rows[j - 1]]
+        rhs[rows[j]] = inv @ rhs[rows[j]]
+    for j in reversed(range(len(factors))):
+        if j + 1 < len(factors):
+            rhs[rows[j]] -= factors[j + 1][1].T @ rhs[rows[j + 1]]
+        rhs[rows[j]] = factors[j][0].T @ rhs[rows[j]]
+    return rhs
 
 
 def _tri_inv(low: np.ndarray) -> np.ndarray:
@@ -186,7 +278,7 @@ def _gram_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     ELM's own solve when rows outnumber nodes (Huang, Zhou, Ding &
     Zhang, *IEEE TSMC-B* 42(2), 2012), without the ridge term.
 
-    The route takes an ``a`` with at least ``_LSTSQ_ROWS_PER_COL`` rows
+    The route takes an ``a`` with at least ``_GRAM_ROWS_PER_COL`` rows
     per column and more than one :func:`_row_slices` block, a rule of
     its shape alone. A single block is left out: on the tabular
     benchmark's 576 × 20 hidden matrix the product ``AᵀA`` alone adds
@@ -200,19 +292,20 @@ def _gram_lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     :func:`_cholesky` factors it as ``LLᵀ``, and :func:`_tri_inv`'s
     ``L⁻¹`` is applied twice to ``Aᵀb``. The bar is stricter than
     :func:`pinv_normal`'s: every pivot ratio ``L_jj² / G_jj`` must exceed
-    ``sqrt(rows * eps)``. The normal equations move the fitted values
-    ``Ax`` by about ``rows * eps / ratio`` when the smallest pivot ratio
-    tracks ``1 / κ(A)²`` of the column-scaled ``A``, as it does on
-    random ELM hidden matrices; the bar then holds that error near
     ``sqrt(rows * eps)`` (1.5e-6 at 10⁴ rows), where ``rows * eps``
-    would admit an ``A`` whose fit has no correct digit. Without
-    pivoting a ratio is only at least ``1 / κ²``, so this is an
-    estimate, not a bound: a Kahan-like ``A`` can pass with a larger
+    would admit an ``A`` whose columns nearly repeat and whose fit may
+    have no correct digit. The bar is a rule of thumb, not an error
+    bound. Without pivoting a ratio is only at least ``1 / κ(As)²``
+    (``As`` is ``A`` with unit columns), and it does not track that
+    figure: on the large-fit benchmark's seed-1 ELM hidden matrix
+    (10 000 × 1 000) the smallest ratio is 1 / 3.6e3, against
+    ``κ(As)² = 3.63e6``, and the fitted values were within 3.7e-12 of
+    ``gelsd``'s. A Kahan-like ``A`` can pass the bar with a larger
     error. A non-finite ``x`` (``Aᵀb`` overflowed) is None too: the SVD
     solve that a caller falls back to scales ``b`` first.
     """
     n, k = a.shape
-    if n < _LSTSQ_ROWS_PER_COL * k or len(_row_slices(n, k)) == 1:
+    if n < _GRAM_ROWS_PER_COL * k or len(_row_slices(n, k)) == 1:
         return None
     if not np.einsum("ij,ij->j", a, a).all():
         return None
@@ -271,10 +364,9 @@ def pinv_normal(a) -> np.ndarray:
     """Pseudoinverse of a full-column-rank matrix via the Gram system.
 
     Computes ``(AᵀA)⁻¹Aᵀ``: the Gram matrix ``G = AᵀA`` is summed over
-    row blocks of ``A`` (see :func:`_row_blocks`), LAPACK's Cholesky
-    factors it as ``LLᵀ``, ``L⁻¹`` is inverted by 2×2 blocks, and a row
-    block ``A_b`` gives its columns of the result as ``(A_b G⁻¹)ᵀ`` with
-    ``G⁻¹ = L⁻ᵀL⁻¹``. Each block touches only the column range
+    row blocks of ``A`` (see :func:`_row_blocks`), factored by LAPACK's
+    Cholesky, and a row block ``A_b`` gives its columns of the result as
+    ``(A_b G⁻¹)ᵀ``. Each block touches only the column range
     ``[lo, hi)`` its rows are non-zero in, both in ``G[lo:hi, lo:hi]``
     and in the rows of ``G⁻¹`` it multiplies, so the cost follows the
     non-zero part of ``A``. The result column of an all-zero row is
@@ -285,14 +377,32 @@ def pinv_normal(a) -> np.ndarray:
     0.20 s for one ``a.T @ a``, which numpy hands to BLAS syrk (one
     OpenBLAS thread); :func:`_gram_lstsq` takes that one product.
 
+    No row spans more columns than the widest ``hi - lo``, so ``G_ij``
+    is 0 wherever ``|i - j|`` reaches it. Cut into blocks of that width
+    rounded up to a multiple of 64, ``G`` is block-tridiagonal, and
+    :func:`_band_factor` factors it block by block (Golub & Van Loan,
+    *Matrix Computations*, §4.3); :func:`_band_solve` then gives ``G⁻¹``
+    by block substitution against ``I``. No cols×cols ``L`` or ``L⁻¹`` is
+    formed. When the block is ``cols`` wide or more (a single row block,
+    as in the sinc protocol's 200 × 200 or a 576 × 20 tabular fit, or a
+    dense ``A``), ``G`` is one block: ``LLᵀ`` of the whole, ``L⁻¹`` by
+    2×2 blocks and ``G⁻¹ = L⁻ᵀL⁻¹``. An EELM hidden matrix is banded:
+    on a 10 000 × 8 fit with 1 000 nodes the widest range is 24
+    columns, so ``G`` is 16 blocks of 64, and this call took 0.09-0.10
+    s, against 0.18-0.20 s with one dense factor (best of 5 in-process,
+    seeds 1-3; one OpenBLAS thread).
+
     The factor certifies full rank when every pivot ratio ``L_jj² / G_jj``
     (the share of column ``j``'s squared norm left after projecting out
     the columns before it) exceeds ``rows * eps``, the rounding of the
     ``rows``-long inner products that form ``G`` (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, ch. 3 and 10). Otherwise, or when
-    LAPACK refuses ``G``, RankDeficientError names pivot ``j``: ``j + 1``
-    is the order of the smallest leading block of ``G`` that fails the
-    same test, found by bisection.
+    Stability of Numerical Algorithms*, ch. 3 and 10). The block factor
+    has the same diagonal as the dense one, so its ratios are taken
+    against ``G``'s own diagonal, not the Schur complement's. Otherwise,
+    or when LAPACK refuses a block, RankDeficientError names pivot
+    ``j``: ``j + 1`` is the order of the smallest leading block of ``G``
+    that fails the same test, found by bisection inside the first
+    refused block.
 
     ``A`` is not scanned for NaN or Inf up front. Such a cell is non-zero,
     so it lies in some row block and leaves its column's ``G_jj``
@@ -314,28 +424,26 @@ def pinv_normal(a) -> np.ndarray:
     if not np.isfinite(np.diagonal(gram)).all():
         _as_matrix(a, "pinv_normal input")
     bound = n * np.finfo(np.float64).eps
-    low = _cholesky(gram, bound)
-    if low is None:
-        # the leading block of order `passes` is certified, that of order
-        # `fails` is not (failure is monotone in exact arithmetic)
-        passes, fails = 0, k
-        while fails - passes > 1:
-            mid = (passes + fails) // 2
-            if _cholesky(gram[:mid, :mid], bound) is None:
-                fails = mid
-            else:
-                passes = mid
-        raise RankDeficientError(
-            f"Gram matrix is not numerically positive definite at pivot "
-            f"{fails - 1}: LAPACK refuses it or leaves at most rows * eps "
-            f"of its diagonal", pivot=fails - 1)
+    # G_ij is non-zero only where one row block spans columns i and j, so
+    # blocks of the widest span, rounded up to 64 columns, leave G
+    # block-tridiagonal
+    size = 64 * -(-max((hi - lo for _, lo, hi in blocks), default=k) // 64)
+    edges = list(range(0, k, size)) + [k]
     # free each square temporary once used, so none is still held while
     # the (rows x columns) result is allocated
-    del gram
-    low_inv = _tri_inv(low)
-    del low
-    gram_inv = low_inv.T @ low_inv
-    del low_inv
+    if len(edges) > 2:
+        factors = _band_factor(gram, edges, bound)
+        del gram
+        gram_inv = _band_solve(edges, factors, np.eye(k))
+    else:
+        low = _cholesky(gram, bound)
+        if low is None:
+            raise _refusal(gram, np.diagonal(gram), bound, 0)
+        del gram
+        low_inv = _tri_inv(low)
+        del low
+        gram_inv = low_inv.T @ low_inv
+        del low_inv
     pinv_t = np.zeros((n, k))
     for rows, lo, hi in blocks:
         pinv_t[rows] = a[rows, lo:hi] @ gram_inv[lo:hi]

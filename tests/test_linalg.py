@@ -5,9 +5,11 @@ import pytest
 
 from eelm.datasets import gen_sinc
 from eelm.errors import PreconditionError, RankDeficientError, ShapeError
-from eelm.linalg import (BLOCK_CELLS, _gram_lstsq, _row_blocks, _row_slices,
-                         _svd_lstsq, _tri_inv, numerical_rank, pinv_normal,
-                         pinv_svd, strict_dominance_report)
+from eelm import linalg
+from eelm.linalg import (BLOCK_CELLS, _band_factor, _band_solve, _gram_lstsq,
+                         _row_blocks, _row_slices, _svd_lstsq, _tri_inv,
+                         numerical_rank, pinv_normal, pinv_svd,
+                         strict_dominance_report)
 from eelm.models import build_hidden_matrix, select_hidden_layer, train_elm
 
 EPS = np.finfo(np.float64).eps
@@ -249,6 +251,125 @@ def test_pinv_normal_names_a_dependent_column_in_a_later_block():
     with pytest.raises(RankDeficientError) as exc_info:
         pinv_normal(a)
     assert exc_info.value.pivot == j
+
+
+def eelm_hidden_matrix(inputs, k, seed):
+    params = select_hidden_layer(inputs, k, seed=seed)
+    return build_hidden_matrix(params.node_weights, params.biases, inputs)
+
+
+def banded_eelm_case():
+    """EELM's H on 3 000 x 2 uniform[-1, 1] inputs with 300 nodes, seed
+    17: 15 row blocks spanning at most 37 columns, so G is factored in
+    blocks of 64 columns, [0, 64), ..., [256, 300)."""
+    x = np.random.default_rng(17).uniform(-1.0, 1.0, (3000, 2))
+    h = eelm_hidden_matrix(x, 300, 17)
+    blocks = _row_blocks(h)
+    assert len(blocks) == 15
+    assert max(hi - lo for _, lo, hi in blocks) == 37
+    return h
+
+
+def dense_pinv_normal(a):
+    """pinv_normal's arithmetic on one Cholesky factor of the whole G:
+    ``G⁻¹ = L⁻ᵀL⁻¹`` with ``L⁻¹`` from ``_tri_inv``."""
+    gram = np.zeros((a.shape[1], a.shape[1]))
+    gram += a.T @ a
+    low_inv = _tri_inv(np.linalg.cholesky(gram))
+    return (a @ (low_inv.T @ low_inv)).T
+
+
+def spy_on_factors(monkeypatch):
+    """The shapes of every Cholesky factorization and triangular inverse
+    from here on."""
+    calls = []
+    cholesky, tri_inv = np.linalg.cholesky, linalg._tri_inv
+
+    def spy(real):
+        def wrapper(g, *args):
+            calls.append(g.shape)
+            return real(g, *args)
+        return wrapper
+    monkeypatch.setattr(np.linalg, "cholesky", spy(cholesky))
+    monkeypatch.setattr(linalg, "_tri_inv", spy(tri_inv))
+    return calls
+
+
+def test_pinv_normal_factors_a_banded_gram_matrix_by_blocks(monkeypatch):
+    h = banded_eelm_case()
+    want = dense_pinv_normal(h)
+    calls = spy_on_factors(monkeypatch)
+    got = pinv_normal(h)
+    # one Cholesky factor and one triangular inverse per block of G (the
+    # inverse recurses on halves only above 64): no k x k L or L⁻¹
+    assert sorted(set(calls)) == [(44, 44), (64, 64)]
+    assert calls.count((64, 64)) == 2 * 4 and calls.count((44, 44)) == 2
+    assert np.abs(got - pinv_svd(h)).max() <= 1e-8
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_band_solve_matches_a_dense_solve():
+    # the block substitution solves against any right-hand side, not
+    # only the identity pinv_normal hands it
+    h = banded_eelm_case()
+    gram = h.T @ h
+    edges = [0, 64, 128, 192, 256, 300]
+    factors = _band_factor(gram, edges, 3000 * EPS)
+    rhs = np.random.default_rng(0).uniform(-1.0, 1.0, (300, 3))
+    want = np.linalg.solve(gram, rhs)
+    got = _band_solve(edges, factors, rhs.copy())
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("j, noise", [(150, 0.0), (129, 0.0), (129, 1e-6)])
+def test_pinv_normal_names_a_dependent_column_inside_a_block(j, noise):
+    # column j, in G's third block [128, 192), is the sum of the two
+    # columns before j - 1, inside the block or across its first edge;
+    # with noise, a relative 1e-6 of it, its pivot ratio is 2e-14, under
+    # rows * eps but far from 0: its Schur complement in the block is
+    # that small too, so only a ratio against G's own diagonal refuses it
+    h = banded_eelm_case()
+    h[:, j] = h[:, j - 3] + h[:, j - 2]
+    h[:, j] *= 1.0 + noise * np.random.default_rng(0).uniform(-1.0, 1.0,
+                                                             3000)
+    assert max(hi - lo for _, lo, hi in _row_blocks(h)) <= 64
+    with pytest.raises(RankDeficientError) as exc_info:
+        pinv_normal(h)
+    assert exc_info.value.pivot == j
+
+
+def test_pinv_normal_lapack_failure_in_a_middle_block(monkeypatch):
+    # LAPACK factors the first two blocks and refuses the third and every
+    # leading block of its Schur complement: the pivot is still named,
+    # inside that block
+    h = banded_eelm_case()
+    calls = []
+    real = np.linalg.cholesky
+
+    def refuse_from_the_third(g):
+        calls.append(g.shape)
+        if len(calls) > 2:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return real(g)
+    monkeypatch.setattr(np.linalg, "cholesky", refuse_from_the_third)
+    with pytest.raises(RankDeficientError) as exc_info:
+        pinv_normal(h)
+    assert 128 <= exc_info.value.pivot < 192
+    assert all(shape[0] <= 64 for shape in calls)
+
+
+def one_row_block_cases():
+    sinc, _ = gen_sinc(200, 10, seed=1)
+    return {"sinc-200x200": eelm_hidden_matrix(sinc.inputs, 200, 1),
+            "tabular-576x20":
+                np.random.default_rng(19).uniform(-1.0, 1.0, (576, 20))}
+
+
+@pytest.mark.parametrize("case", sorted(one_row_block_cases()))
+def test_pinv_normal_of_one_row_block_is_the_dense_formula(case):
+    a = one_row_block_cases()[case]
+    assert _row_blocks(a) == [(slice(None), 0, a.shape[1])]
+    assert np.array_equal(pinv_normal(a), dense_pinv_normal(a))
 
 
 @pytest.mark.parametrize("order", [1, 64, 65, 200, 1000])
